@@ -35,10 +35,10 @@ main(int argc, char** argv)
            "Likelihood-threshold margin and delta-t sensitivity on the "
            "memory-bus channel\n(one simulation, many analyses).");
 
-    const BusScenarioResult covert = runBusScenario(opts);
-    ScenarioOptions benign_opts = opts;
-    const BenignScenarioResult benign =
-        runBenignPair("mailserver", "mailserver", benign_opts);
+    const TracedRun covert = traceChannel(AuditedWorkload::Bus, opts);
+    const TracedRun benign = traceBenign("mailserver", "mailserver",
+                                         BenignAuditUnits::BusDivider,
+                                         opts);
 
     // (1) Likelihood threshold sweep.
     TableWriter t1({"threshold", "covert channel", "mailserver pair",
@@ -48,9 +48,9 @@ main(int argc, char** argv)
         params.clustering.burst.likelihoodThreshold = threshold;
         CCHunter hunter(params);
         const auto covert_v =
-            hunter.analyzeContention(covert.quantaHistograms);
+            hunter.analyzeContention(covert.window().quanta);
         const auto benign_v =
-            hunter.analyzeContention(benign.busQuanta);
+            hunter.analyzeContention(benign.window(0).quanta);
         const bool ok = covert_v.detected && !benign_v.detected;
         t1.addRow({fmtDouble(threshold, 1),
                    covert_v.detected ? "DETECTED" : "missed",
@@ -63,7 +63,7 @@ main(int argc, char** argv)
     // (2) Delta-t sweep over the recorded lock train.
     std::printf("\n(2) delta-t sweep (paper: 100k cycles from the "
                 "alpha-tempered rule):\n");
-    EventTrain train = covert.eventTrain;
+    EventTrain train = covert.trace.eventTrain;
     train.setWindow(0, opts.trainWindowTicks);
     TableWriter t2({"delta-t (cycles)", "burst peak bin",
                     "likelihood ratio", "significant"});

@@ -29,6 +29,20 @@ baseOptions(const Config& cfg)
     return o;
 }
 
+/** Run the cache channel under `o` and tabulate its verdict. */
+void
+addRow(TableWriter& t, const char* tracker, const ScenarioOptions& o)
+{
+    const TracedRun r = traceChannel(AuditedWorkload::Cache, o);
+    const OscillationVerdict& v = r.oscillation();
+    t.addRow({tracker,
+              fmtInt(static_cast<long long>(
+                  r.window().labelSeries.size())),
+              fmtInt(static_cast<long long>(v.analysis.dominantLag)),
+              fmtDouble(v.analysis.dominantValue, 3),
+              v.detected ? "yes" : "no"});
+}
+
 } // namespace
 
 int
@@ -46,13 +60,7 @@ main(int argc, char** argv)
     {
         ScenarioOptions o = baseOptions(cfg);
         o.idealTracker = true;
-        const CacheScenarioResult r = runCacheScenario(o);
-        t.addRow({"ideal LRU stack",
-                  fmtInt(static_cast<long long>(r.labelSeries.size())),
-                  fmtInt(static_cast<long long>(
-                      r.verdict.analysis.dominantLag)),
-                  fmtDouble(r.verdict.analysis.dominantValue, 3),
-                  r.verdict.detected ? "yes" : "no"});
+        addRow(t, "ideal LRU stack", o);
     }
 
     // The paper's sizing and progressively starved bloom filters.
@@ -70,13 +78,7 @@ main(int argc, char** argv)
     for (const auto& pt : points) {
         ScenarioOptions o = baseOptions(cfg);
         o.trackerParams.bloomBitsPerGeneration = pt.bits;
-        const CacheScenarioResult r = runCacheScenario(o);
-        t.addRow({pt.name,
-                  fmtInt(static_cast<long long>(r.labelSeries.size())),
-                  fmtInt(static_cast<long long>(
-                      r.verdict.analysis.dominantLag)),
-                  fmtDouble(r.verdict.analysis.dominantValue, 3),
-                  r.verdict.detected ? "yes" : "no"});
+        addRow(t, pt.name, o);
     }
 
     t.render(std::cout);

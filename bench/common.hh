@@ -46,6 +46,113 @@ optionsFromConfig(const Config& cfg, ScenarioOptions defaults = {})
     return o;
 }
 
+/** One traced run through runOnlineAudit: the verdicts plus the
+ *  figure data. */
+struct TracedRun
+{
+    OnlineAuditResult result;
+    ScenarioTrace trace;
+
+    /** Slot `i`'s end-of-run verdict (the one its unit's policy
+     *  fills). */
+    const ContentionVerdict&
+    contention(std::size_t i = 0) const
+    {
+        return result.finalVerdicts.at(i).contention;
+    }
+    const OscillationVerdict&
+    oscillation(std::size_t i = 0) const
+    {
+        return result.finalVerdicts.at(i).oscillation;
+    }
+
+    /** Slot `i`'s retained window and conflict count. */
+    const ScenarioTrace::Slot&
+    window(std::size_t i = 0) const
+    {
+        return trace.slots.at(i);
+    }
+
+    /** The spy's wire-slot bit error rate. */
+    double
+    bitErrorRate() const
+    {
+        return result.channel.wireBitErrorRate;
+    }
+};
+
+/** Run a registered unit's covert channel, keeping its figure data. */
+inline TracedRun
+traceChannel(AuditedWorkload workload, const ScenarioOptions& scenario)
+{
+    OnlineAuditOptions options;
+    options.workload = workload;
+    options.scenario = scenario;
+    TracedRun run;
+    run.result = runOnlineAudit(options, &run.trace);
+    return run;
+}
+
+/** Run benchmark pair a+b audited on `units`, keeping its figure
+ *  data. */
+inline TracedRun
+traceBenign(const std::string& a, const std::string& b,
+            BenignAuditUnits units, const ScenarioOptions& scenario)
+{
+    OnlineAuditOptions options;
+    options.workload = AuditedWorkload::BenignPair;
+    options.scenario = scenario;
+    options.benignA = a;
+    options.benignB = b;
+    options.benignUnits = units;
+    TracedRun run;
+    run.result = runOnlineAudit(options, &run.trace);
+    return run;
+}
+
+/**
+ * A benign pair audited on the paper's three units.  The auditor
+ * watches two units at a time, so the pair runs twice: bus + divider,
+ * then the L2 beside the bus.
+ */
+struct BenignAudit
+{
+    TracedRun contention; //!< BenignAuditUnits::BusDivider
+    TracedRun cache;      //!< BenignAuditUnits::CacheBus
+
+    const ContentionVerdict& bus() const { return contention.contention(0); }
+    const ContentionVerdict& divider() const
+    {
+        return contention.contention(1);
+    }
+    const OscillationVerdict& l2() const { return cache.oscillation(0); }
+
+    /** Alarms among the three paper verdicts. */
+    unsigned
+    alarms() const
+    {
+        return bus().detected + divider().detected + l2().detected;
+    }
+};
+
+inline BenignAudit
+auditBenignPair(const std::string& a, const std::string& b,
+                const ScenarioOptions& scenario)
+{
+    return {traceBenign(a, b, BenignAuditUnits::BusDivider, scenario),
+            traceBenign(a, b, BenignAuditUnits::CacheBus, scenario)};
+}
+
+/** All of a run's per-quantum density histograms merged into one. */
+inline Histogram
+mergedQuanta(const std::vector<Histogram>& quanta)
+{
+    Histogram merged(128);
+    for (const Histogram& h : quanta)
+        merged.merge(h);
+    return merged;
+}
+
 /** Print a figure banner. */
 inline void
 banner(const std::string& figure, const std::string& caption)

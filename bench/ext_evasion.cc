@@ -53,16 +53,15 @@ main(int argc, char** argv)
     for (const auto& pt : points) {
         ScenarioOptions o = base;
         o.busEvasionPeriod = pt.decoyPeriod;
-        const BusScenarioResult r = runBusScenario(o);
-        const double lr =
-            std::max(r.verdict.combined.likelihoodRatio,
-                     r.verdict.recurrence.maxLikelihoodRatio);
+        const TracedRun r = traceChannel(AuditedWorkload::Bus, o);
+        const ContentionVerdict& v = r.contention();
+        const double lr = std::max(v.combined.likelihoodRatio,
+                                   v.recurrence.maxLikelihoodRatio);
         t.addRow({pt.name,
-                  fmtInt(static_cast<long long>(r.lockEvents)),
-                  fmtDouble(lr, 3),
-                  r.verdict.detected ? "yes" : "no",
-                  fmtDouble(r.bitErrorRate, 3),
-                  r.bitErrorRate < 0.1 ? "yes" : "NO"});
+                  fmtInt(static_cast<long long>(r.window().conflicts)),
+                  fmtDouble(lr, 3), v.detected ? "yes" : "no",
+                  fmtDouble(r.bitErrorRate(), 3),
+                  r.bitErrorRate() < 0.1 ? "yes" : "NO"});
     }
     t.render(std::cout);
     std::printf("\nthe trade-off the paper predicts: decoys corrupt "

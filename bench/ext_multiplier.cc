@@ -34,28 +34,25 @@ main(int argc, char** argv)
            "evaluation, caught by the\nsame recurrent-burst pipeline "
            "(multiplier wait conflicts, dt = 300 cycles).");
 
-    const DividerScenarioResult r = runMultiplierScenario(opts);
+    const TracedRun r = traceChannel(AuditedWorkload::Multiplier, opts);
+    const ContentionVerdict& v = r.contention();
 
-    Histogram merged(128);
-    for (const auto& h : r.quantaHistograms)
-        merged.merge(h);
-    printDensityHistogram(merged,
+    printDensityHistogram(mergedQuanta(r.window().quanta),
                           "multiplier contention density "
                           "(dt = 300 cycles)",
                           "wait conflicts per dt", 120);
 
     TableWriter t({"metric", "value"});
-    t.addRow({"message", r.sent.toString()});
-    t.addRow({"decoded", r.decoded.toString().substr(0, 64)});
-    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate, 4)});
+    t.addRow({"message", r.trace.sent.toString()});
+    t.addRow({"decoded", r.trace.decoded.toString().substr(0, 64)});
+    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate(), 4)});
     t.addRow({"conflict events",
-              fmtInt(static_cast<long long>(r.conflictEvents))});
+              fmtInt(static_cast<long long>(r.window().conflicts))});
     t.addRow({"burst peak bin",
-              fmtInt(static_cast<long long>(
-                  r.verdict.combined.burstPeakBin))});
+              fmtInt(static_cast<long long>(v.combined.burstPeakBin))});
     t.addRow({"likelihood ratio",
-              fmtDouble(r.verdict.combined.likelihoodRatio, 3)});
-    t.addRow({"verdict", r.verdict.detected ? "DETECTED" : "missed"});
+              fmtDouble(v.combined.likelihoodRatio, 3)});
+    t.addRow({"verdict", v.detected ? "DETECTED" : "missed"});
     t.render(std::cout);
 
     std::printf("\ncontrol: a benign divide/multiply-heavy pair on the "
@@ -64,12 +61,10 @@ main(int argc, char** argv)
     // (Benign proxies route arithmetic through the divider only, so
     //  the cleanliness check reuses the divider verdict as the
     //  equivalent exercised path.)
-    const BenignScenarioResult benign =
-        runBenignPair("bzip2", "h264ref", opts);
+    const TracedRun benign = traceBenign(
+        "bzip2", "h264ref", BenignAuditUnits::BusDivider, opts);
+    const bool falseAlarm = benign.contention(1).detected;
     std::printf("benign bzip2+h264ref divider verdict: %s\n",
-                benign.dividerVerdict.detected ? "FALSE ALARM"
-                                               : "clean");
-    return (r.verdict.detected && !benign.dividerVerdict.detected)
-               ? 0
-               : 1;
+                falseAlarm ? "FALSE ALARM" : "clean");
+    return (v.detected && !falseAlarm) ? 0 : 1;
 }

@@ -55,15 +55,17 @@ main(int argc, char** argv)
                     {true, false, true, true, false, false, true,
                      false});
             }
-            const TlbScenarioResult r = runTlbScenario(opts);
-            allDetected = allDetected && r.verdict.detected;
+            const TracedRun r = traceChannel(AuditedWorkload::Tlb, opts);
+            const OscillationVerdict& v = r.oscillation();
+            allDetected = allDetected && v.detected;
             t.addRow({fmtDouble(bps, 0), coded ? "on" : "off",
-                      r.verdict.detected ? "yes" : "NO",
-                      fmtDouble(r.verdict.analysis.dominantValue, 3),
+                      v.detected ? "yes" : "NO",
+                      fmtDouble(v.analysis.dominantValue, 3),
                       fmtInt(static_cast<long long>(
-                          r.verdict.analysis.dominantLag)),
-                      fmtDouble(r.bitErrorRate, 3),
-                      fmtDouble(r.payloadBitErrorRate, 3)});
+                          v.analysis.dominantLag)),
+                      fmtDouble(r.bitErrorRate(), 3),
+                      fmtDouble(r.result.channel.payloadBitErrorRate,
+                                3)});
         }
     }
     t.render(std::cout);

@@ -118,21 +118,18 @@ main(int argc, char** argv)
             // across invocations.
             opts.faults.seed = 100 * (r + 1) + base.seed;
             opts.faults.dropQuantumRate = rate;
-            const DividerScenarioResult res =
-                runDividerScenario(opts);
-            p.detected += res.verdict.detected;
-            p.meanConfidence += res.confidence;
-            p.meanCoverage += res.degraded.windowCoverage;
-            p.missedQuanta += res.degraded.missedQuanta;
-            p.totalFaults += res.degraded.totalFaults();
+            const TracedRun res =
+                traceChannel(AuditedWorkload::Divider, opts);
+            const DegradedStats& degraded = res.result.degraded;
+            p.detected += res.contention().detected;
+            p.meanConfidence += res.result.finalVerdicts[0].confidence;
+            p.meanCoverage += degraded.windowCoverage;
+            p.missedQuanta += degraded.missedQuanta;
+            p.totalFaults += degraded.totalFaults();
             if (benign) {
-                ScenarioOptions bopts = opts;
-                const BenignScenarioResult b =
-                    runBenignPair("gobmk", "sjeng", bopts);
                 ++p.benignRuns;
-                p.benignAlarms += b.busVerdict.detected +
-                                  b.dividerVerdict.detected +
-                                  b.cacheVerdict.detected;
+                p.benignAlarms +=
+                    auditBenignPair("gobmk", "sjeng", opts).alarms();
             }
         }
         p.meanConfidence /= runs;

@@ -27,21 +27,22 @@ main(int argc, char** argv)
            "access (CPU cycles)\nwhile the trojan transmits a random "
            "64-bit credit-card number.");
 
-    const BusScenarioResult r = runBusScenario(opts);
+    const TracedRun r = traceChannel(AuditedWorkload::Bus, opts);
+    const ScenarioTrace& tr = r.trace;
 
-    printSeries(r.spySamples, "avg latency per access (cycles)",
+    printSeries(tr.spySamples, "avg latency per access (cycles)",
                 "sample");
 
     RunningStats ones, zeros;
-    for (const auto& [slot, mean] : r.slotMeans)
-        (r.sent.bitCyclic(slot) ? ones : zeros).add(mean);
+    for (const auto& [slot, mean] : tr.slotMeans)
+        (tr.sent.bitCyclic(slot) ? ones : zeros).add(mean);
 
     TableWriter t({"series", "value"});
-    t.addRow({"message", r.sent.toString()});
-    t.addRow({"decoded", r.decoded.toString()});
-    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate, 4)});
+    t.addRow({"message", tr.sent.toString()});
+    t.addRow({"decoded", tr.decoded.toString()});
+    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate(), 4)});
     t.addRow({"samples", fmtInt(static_cast<long long>(
-                  r.spySamples.size()))});
+                  tr.spySamples.size()))});
     t.addRow({"mean latency ('1' bits)", fmtDouble(ones.mean(), 1)});
     t.addRow({"mean latency ('0' bits)", fmtDouble(zeros.mean(), 1)});
     t.addRow({"contended / uncontended",

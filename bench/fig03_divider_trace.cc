@@ -25,18 +25,19 @@ main(int argc, char** argv)
            "Integer Divider Covert Channel: spy's average loop "
            "execution time (CPU cycles)\nfor the same 64-bit message.");
 
-    const DividerScenarioResult r = runDividerScenario(opts);
+    const TracedRun r = traceChannel(AuditedWorkload::Divider, opts);
+    const ScenarioTrace& tr = r.trace;
 
-    printSeries(r.spySamples, "avg loop latency (cycles)", "sample");
+    printSeries(tr.spySamples, "avg loop latency (cycles)", "sample");
 
     RunningStats ones, zeros;
-    for (const auto& [slot, mean] : r.slotMeans)
-        (r.sent.bitCyclic(slot) ? ones : zeros).add(mean);
+    for (const auto& [slot, mean] : tr.slotMeans)
+        (tr.sent.bitCyclic(slot) ? ones : zeros).add(mean);
 
     TableWriter t({"series", "value"});
-    t.addRow({"message", r.sent.toString()});
-    t.addRow({"decoded", r.decoded.toString()});
-    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate, 4)});
+    t.addRow({"message", tr.sent.toString()});
+    t.addRow({"decoded", tr.decoded.toString()});
+    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate(), 4)});
     t.addRow({"mean loop latency ('1')", fmtDouble(ones.mean(), 1)});
     t.addRow({"mean loop latency ('0')", fmtDouble(zeros.mean(), 1)});
     t.addRow({"contended / uncontended",

@@ -54,16 +54,16 @@ main(int argc, char** argv)
            "Event trains during covert transmission: bursts appear "
            "whenever the trojan signals '1'.");
 
-    const BusScenarioResult bus = runBusScenario(opts);
-    printTrain(bus.eventTrain, opts.trainWindowTicks,
+    const TracedRun bus = traceChannel(AuditedWorkload::Bus, opts);
+    printTrain(bus.trace.eventTrain, opts.trainWindowTicks,
                "(a) memory bus lock events");
     std::printf("  first 10 bits sent: %s\n\n",
-                expectedBits(bus.sent, 10).toString().c_str());
+                expectedBits(bus.trace.sent, 10).toString().c_str());
 
-    const DividerScenarioResult div = runDividerScenario(opts);
-    printTrain(div.eventTrain, opts.trainWindowTicks,
+    const TracedRun div = traceChannel(AuditedWorkload::Divider, opts);
+    printTrain(div.trace.eventTrain, opts.trainWindowTicks,
                "(b) integer divider wait conflicts");
     std::printf("  first 10 bits sent: %s\n",
-                expectedBits(div.sent, 10).toString().c_str());
+                expectedBits(div.trace.sent, 10).toString().c_str());
     return 0;
 }

@@ -25,32 +25,26 @@ main(int argc, char** argv)
            "Event density histograms during covert transmission "
            "(one 0.1 s OS time quantum).");
 
-    const BusScenarioResult bus = runBusScenario(opts);
-    Histogram bus_hist(128);
-    for (const auto& h : bus.quantaHistograms)
-        bus_hist.merge(h);
-    printDensityHistogram(bus_hist,
+    const TracedRun bus = traceChannel(AuditedWorkload::Bus, opts);
+    printDensityHistogram(mergedQuanta(bus.window().quanta),
                           "(a) memory bus: lock density "
                           "(dt = 100k cycles)",
                           "bus locks per dt", 32);
     std::printf("  burst peak bin: %zu (paper: ~20), likelihood "
                 "ratio: %.3f (paper: > 0.9)\n\n",
-                bus.verdict.combined.burstPeakBin,
-                bus.verdict.combined.likelihoodRatio);
+                bus.contention().combined.burstPeakBin,
+                bus.contention().combined.likelihoodRatio);
 
-    const DividerScenarioResult div = runDividerScenario(opts);
-    Histogram div_hist(128);
-    for (const auto& h : div.quantaHistograms)
-        div_hist.merge(h);
-    printDensityHistogram(div_hist,
+    const TracedRun div = traceChannel(AuditedWorkload::Divider, opts);
+    printDensityHistogram(mergedQuanta(div.window().quanta),
                           "(b) integer divider: contention density "
                           "(dt = 500 cycles)",
                           "wait conflicts per dt", 120);
     std::printf("  burst cluster: bins %zu-%zu, peak %zu (paper: "
                 "84-105, peak ~96); likelihood ratio: %.3f\n",
-                div.verdict.combined.burstFirstBin,
-                div.verdict.combined.burstLastBin,
-                div.verdict.combined.burstPeakBin,
-                div.verdict.combined.likelihoodRatio);
+                div.contention().combined.burstFirstBin,
+                div.contention().combined.burstLastBin,
+                div.contention().combined.burstPeakBin,
+                div.contention().combined.likelihoodRatio);
     return 0;
 }

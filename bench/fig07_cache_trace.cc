@@ -25,18 +25,19 @@ main(int argc, char** argv)
            "Cache Covert Channel: spy's G1/G0 access-time ratio per "
            "transmitted bit.");
 
-    const CacheScenarioResult r = runCacheScenario(opts);
+    const TracedRun r = traceChannel(AuditedWorkload::Cache, opts);
+    const ScenarioTrace& tr = r.trace;
 
-    printSeries(r.spyRatios, "G1/G0 access-time ratio", "bit index");
+    printSeries(tr.spySamples, "G1/G0 access-time ratio", "bit index");
 
     RunningStats ones, zeros;
-    for (std::size_t i = 1; i < r.spyRatios.size() && i < 64; ++i)
-        (r.sent.bitCyclic(i) ? ones : zeros).add(r.spyRatios[i]);
+    for (std::size_t i = 1; i < tr.spySamples.size() && i < 64; ++i)
+        (tr.sent.bitCyclic(i) ? ones : zeros).add(tr.spySamples[i]);
 
     TableWriter t({"series", "value"});
-    t.addRow({"message", r.sent.toString()});
-    t.addRow({"decoded", r.decoded.toString()});
-    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate, 4)});
+    t.addRow({"message", tr.sent.toString()});
+    t.addRow({"decoded", tr.decoded.toString()});
+    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate(), 4)});
     t.addRow({"mean ratio ('1' bits)", fmtDouble(ones.mean(), 2)});
     t.addRow({"mean ratio ('0' bits)", fmtDouble(zeros.mean(), 2)});
     t.render(std::cout);

@@ -76,52 +76,46 @@ main(int argc, char** argv)
     for (const auto& pt : points) {
         ScenarioOptions o = pointOptions(pt, cfg);
 
-        const BusScenarioResult bus = runBusScenario(o);
-        Histogram bus_h(128);
-        for (const auto& h : bus.quantaHistograms)
-            bus_h.merge(h);
-        printDensityHistogram(
-            bus_h,
-            "memory bus @ " + fmtDouble(pt.bandwidth, 1) + " bps",
-            "bus locks per dt", 32);
-        bus_t.addRow({fmtDouble(pt.bandwidth, 1),
-                      fmtInt(static_cast<long long>(bus.lockEvents)),
-                      fmtInt(static_cast<long long>(
-                          bus.verdict.combined.burstPeakBin)),
-                      fmtDouble(std::max(bus.verdict.combined.likelihoodRatio, bus.verdict.recurrence.maxLikelihoodRatio), 3),
-                      fmtInt(static_cast<long long>(
-                          bus.verdict.recurrence.burstyQuanta)),
-                      bus.verdict.detected ? "yes" : "no"});
+        const std::string at = " @ " + fmtDouble(pt.bandwidth, 1) +
+                               " bps";
+        const auto contentionRow = [&](AuditedWorkload unit,
+                                       TableWriter& table,
+                                       const std::string& title,
+                                       const char* x_label,
+                                       std::size_t max_bin) {
+            const TracedRun r = traceChannel(unit, o);
+            const ContentionVerdict& v = r.contention();
+            printDensityHistogram(mergedQuanta(r.window().quanta),
+                                  title + at, x_label, max_bin);
+            table.addRow({fmtDouble(pt.bandwidth, 1),
+                          fmtInt(static_cast<long long>(
+                              r.window().conflicts)),
+                          fmtInt(static_cast<long long>(
+                              v.combined.burstPeakBin)),
+                          fmtDouble(std::max(
+                                        v.combined.likelihoodRatio,
+                                        v.recurrence.maxLikelihoodRatio),
+                                    3),
+                          fmtInt(static_cast<long long>(
+                              v.recurrence.burstyQuanta)),
+                          v.detected ? "yes" : "no"});
+        };
+        contentionRow(AuditedWorkload::Bus, bus_t, "memory bus",
+                      "bus locks per dt", 32);
+        contentionRow(AuditedWorkload::Divider, divider_t,
+                      "integer divider", "wait conflicts per dt", 120);
 
-        const DividerScenarioResult div = runDividerScenario(o);
-        Histogram div_h(128);
-        for (const auto& h : div.quantaHistograms)
-            div_h.merge(h);
-        printDensityHistogram(
-            div_h,
-            "integer divider @ " + fmtDouble(pt.bandwidth, 1) + " bps",
-            "wait conflicts per dt", 120);
-        divider_t.addRow({fmtDouble(pt.bandwidth, 1),
-                      fmtInt(static_cast<long long>(div.conflictEvents)),
-                      fmtInt(static_cast<long long>(
-                          div.verdict.combined.burstPeakBin)),
-                      fmtDouble(std::max(div.verdict.combined.likelihoodRatio, div.verdict.recurrence.maxLikelihoodRatio), 3),
-                      fmtInt(static_cast<long long>(
-                          div.verdict.recurrence.burstyQuanta)),
-                      div.verdict.detected ? "yes" : "no"});
-
-        const CacheScenarioResult cache = runCacheScenario(o);
-        printCorrelogram(cache.verdict.analysis.correlogram,
-                         "cache channel autocorrelogram @ " +
-                             fmtDouble(pt.bandwidth, 1) + " bps");
+        const TracedRun cache = traceChannel(AuditedWorkload::Cache, o);
+        const OscillationVerdict& v = cache.oscillation();
+        printCorrelogram(v.analysis.correlogram,
+                         "cache channel autocorrelogram" + at);
         cache_t.addRow({fmtDouble(pt.bandwidth, 1),
                         fmtInt(static_cast<long long>(
-                            cache.labelSeries.size())),
+                            cache.window().labelSeries.size())),
                         fmtInt(static_cast<long long>(
-                            cache.verdict.analysis.dominantLag)),
-                        fmtDouble(cache.verdict.analysis.dominantValue,
-                                  3),
-                        cache.verdict.detected ? "yes" : "no"});
+                            v.analysis.dominantLag)),
+                        fmtDouble(v.analysis.dominantValue, 3),
+                        v.detected ? "yes" : "no"});
     }
 
     std::printf("\nmemory bus channel:\n");

@@ -74,7 +74,8 @@ main(int argc, char** argv)
            "observation windows\n(1x / 0.75x / 0.5x / 0.25x of the OS "
            "time quantum).");
 
-    const CacheScenarioResult r = runCacheScenario(opts);
+    const TracedRun r = traceChannel(AuditedWorkload::Cache, opts);
+    const std::vector<ConflictRecord>& records = r.window().records;
     const Tick total = opts.quantum * opts.quanta;
 
     TableWriter t({"window", "dominant lag", "peak autocorr",
@@ -84,7 +85,7 @@ main(int argc, char** argv)
         const Tick window =
             static_cast<Tick>(f * static_cast<double>(opts.quantum));
         const OscillationAnalysis a =
-            bestWindow(r.records, window, total, OscillationParams{});
+            bestWindow(records, window, total, OscillationParams{});
         printCorrelogram(a.correlogram,
                          fmtDouble(f, 2) +
                              "x OS time quantum observation window");
@@ -97,6 +98,6 @@ main(int argc, char** argv)
     std::printf("\ntotal conflict events: %zu over %.1f s; paper: "
                 "finer windows show significant\nrepetitive peaks for "
                 "the 0.1 bps channel.\n",
-                r.records.size(), ticksToSeconds(total));
+                records.size(), ticksToSeconds(total));
     return 0;
 }

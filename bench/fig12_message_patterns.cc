@@ -73,24 +73,18 @@ main(int argc, char** argv)
         o.seed = base.seed + m;
         o.message = Message::random64(msg_rng);
 
-        const BusScenarioResult bus = runBusScenario(o);
-        Histogram bus_h(128);
-        for (const auto& h : bus.quantaHistograms)
-            bus_h.merge(h);
-        bus_bins.add(bus_h);
-        bus_lr.add(bus.verdict.combined.likelihoodRatio);
+        const TracedRun bus = traceChannel(AuditedWorkload::Bus, o);
+        bus_bins.add(mergedQuanta(bus.window().quanta));
+        bus_lr.add(bus.contention().combined.likelihoodRatio);
 
-        const DividerScenarioResult div = runDividerScenario(o);
-        Histogram div_h(128);
-        for (const auto& h : div.quantaHistograms)
-            div_h.merge(h);
-        div_bins.add(div_h);
-        div_lr.add(div.verdict.combined.likelihoodRatio);
+        const TracedRun div = traceChannel(AuditedWorkload::Divider, o);
+        div_bins.add(mergedQuanta(div.window().quanta));
+        div_lr.add(div.contention().combined.likelihoodRatio);
 
-        const CacheScenarioResult cache = runCacheScenario(o);
+        const TracedRun cache = traceChannel(AuditedWorkload::Cache, o);
         cache_lag.add(static_cast<double>(
-            cache.verdict.analysis.dominantLag));
-        cache_peak.add(cache.verdict.analysis.dominantValue);
+            cache.oscillation().analysis.dominantLag));
+        cache_peak.add(cache.oscillation().analysis.dominantValue);
     }
 
     printBinStats(bus_bins,

@@ -31,20 +31,22 @@ main(int argc, char** argv)
     for (std::size_t sets : {64u, 128u, 256u, 512u}) {
         ScenarioOptions o = base;
         o.channelSets = sets;
-        const CacheScenarioResult r = runCacheScenario(o);
-        printCorrelogram(r.verdict.analysis.correlogram,
+        const TracedRun r = traceChannel(AuditedWorkload::Cache, o);
+        const OscillationVerdict& v = r.oscillation();
+        printCorrelogram(v.analysis.correlogram,
                          "autocorrelogram, " + std::to_string(sets) +
                              " channel sets");
         t.addRow({fmtInt(static_cast<long long>(sets)),
-                  fmtInt(static_cast<long long>(r.labelSeries.size())),
                   fmtInt(static_cast<long long>(
-                      r.verdict.analysis.dominantLag)),
+                      r.window().labelSeries.size())),
+                  fmtInt(static_cast<long long>(
+                      v.analysis.dominantLag)),
                   fmtDouble(static_cast<double>(
-                                r.verdict.analysis.dominantLag) /
+                                v.analysis.dominantLag) /
                                 static_cast<double>(sets),
                             2),
-                  fmtDouble(r.verdict.analysis.dominantValue, 3),
-                  r.verdict.detected ? "yes" : "no"});
+                  fmtDouble(v.analysis.dominantValue, 3),
+                  v.detected ? "yes" : "no"});
     }
     t.render(std::cout);
     std::printf("\npaper: peak correlation ~0.95 in all cases; the "

@@ -38,32 +38,27 @@ main(int argc, char** argv)
     for (const auto& [a, b] : falseAlarmPairs()) {
         if (count++ >= max_pairs)
             break;
-        const BenignScenarioResult r = runBenignPair(a, b, opts);
+        const BenignAudit r = auditBenignPair(a, b, opts);
 
-        Histogram bus_h(128), div_h(128);
-        for (const auto& h : r.busQuanta)
-            bus_h.merge(h);
-        for (const auto& h : r.dividerQuanta)
-            div_h.merge(h);
         const std::string pair = a + "+" + b;
-        printDensityHistogram(bus_h, pair + ": memory bus lock density",
-                              "locks per dt", 30);
-        printDensityHistogram(div_h,
-                              pair + ": divider contention density",
-                              "wait conflicts per dt", 60);
-        printCorrelogram(r.cacheVerdict.analysis.correlogram,
+        printDensityHistogram(
+            mergedQuanta(r.contention.window(0).quanta),
+            pair + ": memory bus lock density", "locks per dt", 30);
+        printDensityHistogram(
+            mergedQuanta(r.contention.window(1).quanta),
+            pair + ": divider contention density",
+            "wait conflicts per dt", 60);
+        printCorrelogram(r.l2().analysis.correlogram,
                          pair + ": conflict-miss autocorrelogram");
 
-        alarms += r.busVerdict.detected + r.dividerVerdict.detected +
-                  r.cacheVerdict.detected;
+        alarms += r.alarms();
         t.addRow({pair,
-                  fmtDouble(r.busVerdict.combined.likelihoodRatio, 3),
-                  fmtDouble(r.dividerVerdict.combined.likelihoodRatio,
-                            3),
-                  fmtDouble(r.cacheVerdict.analysis.dominantValue, 3),
-                  r.busVerdict.detected ? "ALARM" : "clean",
-                  r.dividerVerdict.detected ? "ALARM" : "clean",
-                  r.cacheVerdict.detected ? "ALARM" : "clean"});
+                  fmtDouble(r.bus().combined.likelihoodRatio, 3),
+                  fmtDouble(r.divider().combined.likelihoodRatio, 3),
+                  fmtDouble(r.l2().analysis.dominantValue, 3),
+                  r.bus().detected ? "ALARM" : "clean",
+                  r.divider().detected ? "ALARM" : "clean",
+                  r.l2().detected ? "ALARM" : "clean"});
     }
 
     std::printf("\n");

@@ -39,18 +39,33 @@ main(int argc, char** argv)
     for (const auto& [a, b] : falseAlarmPairs()) {
         if (count++ >= max_pairs)
             break;
-        const BenignScenarioResult r = runBenignPair(a, b, opts);
-        const unsigned alarms = r.busVerdict.detected +
-                                r.dividerVerdict.detected +
-                                r.cacheVerdict.detected;
+        // The auditor watches two units at a time: bus + divider in
+        // one run, the L2 (beside the bus) in a second.
+        OnlineAuditOptions audit;
+        audit.workload = AuditedWorkload::BenignPair;
+        audit.scenario = opts;
+        audit.benignA = a;
+        audit.benignB = b;
+        audit.benignUnits = BenignAuditUnits::BusDivider;
+        const OnlineAuditResult contention = runOnlineAudit(audit);
+        audit.benignUnits = BenignAuditUnits::CacheBus;
+        const OnlineAuditResult cache = runOnlineAudit(audit);
+        const ContentionVerdict& bus =
+            contention.finalVerdicts[0].contention;
+        const ContentionVerdict& divider =
+            contention.finalVerdicts[1].contention;
+        const OscillationVerdict& l2 = cache.finalVerdicts[0].oscillation;
+        const unsigned alarms =
+            bus.detected + divider.detected + l2.detected;
         total_alarms += alarms;
-        pipeline.accumulate(r.pipeline);
-        degraded.accumulate(r.degraded);
+        for (const OnlineAuditResult* r : {&contention, &cache}) {
+            pipeline.accumulate(r->pipeline);
+            degraded.accumulate(r->degraded);
+        }
         table.addRow(
-            {a + "+" + b,
-             fmtDouble(r.busVerdict.combined.likelihoodRatio, 3),
-             fmtDouble(r.dividerVerdict.combined.likelihoodRatio, 3),
-             fmtDouble(r.cacheVerdict.analysis.dominantValue, 3),
+            {a + "+" + b, fmtDouble(bus.combined.likelihoodRatio, 3),
+             fmtDouble(divider.combined.likelihoodRatio, 3),
+             fmtDouble(l2.analysis.dominantValue, 3),
              alarms == 0 ? "none" : std::to_string(alarms)});
     }
 

@@ -105,7 +105,10 @@ class BusSpy : public Workload, public ChannelSpy
     std::string name() const override { return "bus-spy"; }
 
     /** Average-latency samples (the series of paper figure 2). */
-    const std::vector<double>& samples() const { return samples_; }
+    const std::vector<double>& samples() const override
+    {
+        return samples_;
+    }
 
     /** Bits decoded so far. */
     Message decoded() const override;
@@ -120,7 +123,7 @@ class BusSpy : public Workload, public ChannelSpy
     /** (bit-slot index, mean observed latency) pairs, per decoded
      *  slot. */
     const std::vector<std::pair<std::size_t, double>>& slotMeans()
-        const
+        const override
     {
         return slotMeans_;
     }

@@ -141,7 +141,10 @@ class CacheSpy : public Workload, public ChannelSpy
     std::string name() const override { return "cache-spy"; }
 
     /** G1/G0 access-time ratios, one per bit (paper figure 7). */
-    const std::vector<double>& ratios() const { return ratios_; }
+    const std::vector<double>& samples() const override
+    {
+        return ratios_;
+    }
 
     Message decoded() const override;
 

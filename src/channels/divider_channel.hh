@@ -83,7 +83,10 @@ class DividerSpy : public Workload, public ChannelSpy
     std::string name() const override { return "divider-spy"; }
 
     /** Average loop-latency samples (the series of paper figure 3). */
-    const std::vector<double>& samples() const { return samples_; }
+    const std::vector<double>& samples() const override
+    {
+        return samples_;
+    }
 
     Message decoded() const override;
 
@@ -97,7 +100,7 @@ class DividerSpy : public Workload, public ChannelSpy
     /** (bit-slot index, mean observed latency) pairs, per decoded
      *  slot. */
     const std::vector<std::pair<std::size_t, double>>& slotMeans()
-        const
+        const override
     {
         return slotMeans_;
     }

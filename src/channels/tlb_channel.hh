@@ -142,7 +142,10 @@ class TlbSpy : public Workload, public ChannelSpy
     std::string name() const override { return "tlb-spy"; }
 
     /** G1/G0 access-time ratios, one per bit. */
-    const std::vector<double>& ratios() const { return ratios_; }
+    const std::vector<double>& samples() const override
+    {
+        return ratios_;
+    }
 
     Message decoded() const override;
 

@@ -1,17 +1,11 @@
 #include "scenario/experiment.hh"
 
 #include <algorithm>
-#include <memory>
+#include <map>
 #include <optional>
 
-#include <map>
-
-#include "channels/bus_channel.hh"
-#include "channels/cache_channel.hh"
 #include "channels/capacity.hh"
 #include "channels/channel_spy.hh"
-#include "channels/divider_channel.hh"
-#include "channels/tlb_channel.hh"
 #include "detect/autocorrelation.hh"
 #include "faults/fault_injector.hh"
 #include "sim/machine.hh"
@@ -245,7 +239,7 @@ slotBitErrorRate(
 }
 
 OnlineAuditResult
-runOnlineAudit(const OnlineAuditOptions& options)
+runOnlineAudit(const OnlineAuditOptions& options, ScenarioTrace* trace)
 {
     const ScenarioOptions& opts = options.scenario;
     const UnitRegistry& registry = UnitRegistry::instance();
@@ -278,6 +272,9 @@ runOnlineAudit(const OnlineAuditOptions& options)
                 d.configureBenignMachine(mp, ctx);
         }
     }
+    // Traced runs record the unit's raw indicator events (figure 4)
+    // through a listener the machine holds, so the buffer outlives it.
+    std::vector<Tick> trainEvents;
     Machine machine(mp);
 
     if (unit) {
@@ -289,6 +286,9 @@ runOnlineAudit(const OnlineAuditOptions& options)
             makeBenchmark(options.benignB, opts.seed + 2), 1);
     }
     addNoise(machine, opts);
+
+    if (trace && unit && unit->listenTrain && opts.trainWindowTicks != 0)
+        unit->listenTrain(machine, opts.trainWindowTicks, trainEvents);
 
     CCAuditor auditor(machine);
     FaultHarness faults(opts, auditor);
@@ -391,6 +391,13 @@ runOnlineAudit(const OnlineAuditOptions& options)
             if ((spy = dynamic_cast<const ChannelSpy*>(&p->workload())))
                 break;
         if (spy) {
+            if (trace) {
+                trace->sent = payload;
+                trace->wire = ctx.message;
+                trace->decoded = spy->decoded();
+                trace->spySamples = spy->samples();
+                trace->slotMeans = spy->slotMeans();
+            }
             ChannelDecodeOutcome& ch = result.channel;
             ch.present = true;
             const Message& wire = ctx.message;
@@ -490,7 +497,23 @@ runOnlineAudit(const OnlineAuditOptions& options)
             outcome.confidence =
                 daemon.contentionConfidence(s, outcome.contention);
         }
+        if (trace) {
+            ScenarioTrace::Slot& window = trace->slots.emplace_back();
+            if (descriptor.policy == AlarmKind::Oscillation) {
+                window.records = daemon.conflictRecords(s);
+                window.labelSeries = daemon.labelSeries(s);
+            } else {
+                window.quanta = daemon.contentionQuanta(s);
+            }
+            window.conflicts =
+                descriptor.countConflicts(machine, auditor, s);
+        }
         result.finalVerdicts.push_back(std::move(outcome));
+    }
+    if (trace) {
+        std::sort(trainEvents.begin(), trainEvents.end());
+        for (const Tick t : trainEvents)
+            trace->eventTrain.addEvent(t);
     }
     return result;
 }
@@ -545,423 +568,6 @@ finalizeDeferredOscillations(std::vector<UnitOutcome*>& pending)
         batched += group.size();
     }
     return batched;
-}
-
-BusScenarioResult
-runBusScenario(const ScenarioOptions& opts)
-{
-    BusScenarioResult result;
-    result.sent = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-
-    Machine machine(makeMachine(opts));
-
-    BusTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.sent;
-    tp.evasionLockPeriod = opts.busEvasionPeriod;
-    machine.addProcess(std::make_unique<BusTrojan>(tp), 0); // core 0
-
-    BusSpyParams sp;
-    sp.timing = timing;
-    auto spy_owned = std::make_unique<BusSpy>(sp);
-    BusSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 2); // core 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::MemoryBus, opts.response);
-
-    // Optional raw event-train recording (figure 4).
-    std::vector<Tick> raw_events;
-    if (opts.trainWindowTicks != 0) {
-        const Tick limit = opts.trainWindowTicks;
-        machine.mem().bus().addLockListener(
-            [&raw_events, limit](Tick when, ContextId) {
-                if (when < limit)
-                    raw_events.push_back(when);
-            });
-    }
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    auditor.monitorBus(key, 0);
-    result.deltaT = busDeltaT;
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    std::sort(raw_events.begin(), raw_events.end());
-    for (Tick t : raw_events)
-        result.eventTrain.addEvent(t);
-    result.quantaHistograms = daemon.contentionQuanta(0);
-    result.verdict =
-        daemon.analyzeContention(0, opts.thresholds.apply());
-    result.spySamples = spy->samples();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.sent, spy->decodedSlots());
-    result.lockEvents = machine.mem().bus().locks();
-    result.slotMeans = spy->slotMeans();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.contentionConfidence(0, result.verdict);
-    return result;
-}
-
-DividerScenarioResult
-runDividerScenario(const ScenarioOptions& opts)
-{
-    DividerScenarioResult result;
-    result.sent = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-
-    Machine machine(makeMachine(opts));
-
-    DividerTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.sent;
-    machine.addProcess(std::make_unique<DividerTrojan>(tp), 0);
-
-    DividerSpyParams sp;
-    sp.timing = timing;
-    auto spy_owned = std::make_unique<DividerSpy>(sp);
-    DividerSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 1); // same core, HT 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::IntegerDivider, opts.response);
-
-    // Optional raw event-train recording (figure 4): expand conflict
-    // bursts into individual wait events inside the window.
-    std::vector<Tick> raw_events;
-    if (opts.trainWindowTicks != 0) {
-        const Tick limit = opts.trainWindowTicks;
-        machine.divider(0).addWaitListener(
-            [&raw_events, limit](const WaitConflictBurst& b) {
-                for (std::uint64_t i = 0; i < b.count; ++i) {
-                    const Tick t = b.start + i * b.spacing;
-                    if (t >= limit)
-                        break;
-                    raw_events.push_back(t);
-                }
-            });
-    }
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    auditor.monitorDivider(key, 0, /*core=*/0);
-    result.deltaT = dividerDeltaT;
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    std::sort(raw_events.begin(), raw_events.end());
-    for (Tick t : raw_events)
-        result.eventTrain.addEvent(t);
-    result.quantaHistograms = daemon.contentionQuanta(0);
-    result.verdict =
-        daemon.analyzeContention(0, opts.thresholds.apply());
-    result.spySamples = spy->samples();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.sent, spy->decodedSlots());
-    result.conflictEvents = machine.divider(0).totalConflicts();
-    result.slotMeans = spy->slotMeans();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.contentionConfidence(0, result.verdict);
-    return result;
-}
-
-DividerScenarioResult
-runMultiplierScenario(const ScenarioOptions& opts)
-{
-    DividerScenarioResult result;
-    result.sent = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-
-    Machine machine(makeMachine(opts));
-
-    DividerTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.sent;
-    tp.useMultiplier = true;
-    machine.addProcess(std::make_unique<DividerTrojan>(tp), 0);
-
-    DividerSpyParams sp;
-    sp.timing = timing;
-    sp.useMultiplier = true;
-    // Multiplier ops are 3 cycles: 20 ops -> 60 uncontended, 120
-    // contended; split the decode threshold between the plateaus.
-    sp.decodeThreshold = 90;
-    auto spy_owned = std::make_unique<DividerSpy>(sp);
-    DividerSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 1); // same core, HT 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::IntegerMultiplier, opts.response);
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    auditor.monitorMultiplier(key, 0, /*core=*/0);
-    result.deltaT = multiplierDeltaT;
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    result.quantaHistograms = daemon.contentionQuanta(0);
-    result.verdict =
-        daemon.analyzeContention(0, opts.thresholds.apply());
-    result.spySamples = spy->samples();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.sent, spy->decodedSlots());
-    result.conflictEvents = machine.multiplier(0).totalConflicts();
-    result.slotMeans = spy->slotMeans();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.contentionConfidence(0, result.verdict);
-    return result;
-}
-
-CacheScenarioResult
-runCacheScenario(const ScenarioOptions& opts)
-{
-    CacheScenarioResult result;
-    result.sent = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-
-    MachineParams mp = makeMachine(opts);
-    // The cache channel experiments configure the 256 KB L2 with
-    // associativity 1 (4096 sets) so that each side implements the
-    // prime/probe conflict with a single line per set; see DESIGN.md
-    // for the substitution note.
-    mp.mem.l2 = CacheGeometry{256 * 1024, 1, 64};
-    Machine machine(mp);
-
-    CacheChannelLayout layout;
-    layout.l2NumSets = mp.mem.l2.numSets();
-    layout.lineSize = mp.mem.l2.lineSize;
-    layout.channelSets = opts.channelSets;
-    layout.linesPerSet = opts.linesPerSet;
-
-    const std::size_t rounds = opts.effectiveCacheRounds();
-
-    CacheTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.sent;
-    tp.layout = layout;
-    tp.roundsPerBit = rounds;
-    machine.addProcess(std::make_unique<CacheTrojan>(tp), 0);
-
-    CacheSpyParams sp;
-    sp.timing = timing;
-    sp.layout = layout;
-    sp.noiseEvery = opts.cacheNoiseEvery;
-    sp.dormantNoiseGap = opts.cacheDormantNoiseGap;
-    sp.roundsPerBit = rounds;
-    sp.seed = opts.seed + 7;
-    auto spy_owned = std::make_unique<CacheSpy>(sp);
-    CacheSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 1); // same core, HT 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::L2Cache, opts.response);
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    if (opts.idealTracker)
-        auditor.monitorCacheIdeal(key, 0, /*core=*/0);
-    else
-        auditor.monitorCache(key, 0, /*core=*/0, opts.trackerParams);
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    result.records = daemon.conflictRecords(0);
-    result.labelSeries = daemon.labelSeries(0);
-    result.verdict =
-        daemon.analyzeOscillation(0, opts.thresholds.apply());
-    result.spyRatios = spy->ratios();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.sent, spy->decodedSlots());
-    if (auto* tracker = auditor.tracker(0))
-        result.trackedConflicts = tracker->conflictMisses();
-    if (auto* oracle = auditor.idealTracker(0))
-        result.trackedConflicts = oracle->conflictMisses();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.oscillationConfidence(0);
-    return result;
-}
-
-TlbScenarioResult
-runTlbScenario(const ScenarioOptions& opts)
-{
-    TlbScenarioResult result;
-    result.sent = resolveMessage(opts);
-    result.wire = resolveWire(opts, result.sent);
-    const ChannelTiming timing = makeTiming(opts);
-
-    MachineParams mp = makeMachine(opts);
-    // The TLB is off by default (keeping non-TLB runs bit-identical to
-    // the pre-TLB simulator); this scenario is what it exists for.
-    mp.mem.tlb.enabled = true;
-    Machine machine(mp);
-
-    const Tlb& tlb = machine.mem().tlb(0);
-    TlbChannelLayout layout;
-    layout.tlbNumSets = tlb.numSets();
-    layout.tlbWays = tlb.params().associativity;
-    layout.pageBytes = tlb.params().pageBytes;
-    layout.channelSets = opts.tlbChannelSets;
-
-    const std::size_t rounds = opts.effectiveCacheRounds();
-
-    TlbTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.wire;
-    tp.layout = layout;
-    tp.roundsPerBit = rounds;
-    machine.addProcess(std::make_unique<TlbTrojan>(tp), 0);
-
-    TlbSpyParams sp;
-    sp.timing = timing;
-    sp.layout = layout;
-    sp.roundsPerBit = rounds;
-    sp.seed = opts.seed + 7;
-    auto spy_owned = std::make_unique<TlbSpy>(sp);
-    TlbSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 1); // same core, HT 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::Tlb, opts.response);
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    auditor.monitorTlb(key, 0, /*core=*/0);
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    result.records = daemon.conflictRecords(0);
-    result.labelSeries = daemon.labelSeries(0);
-    result.verdict =
-        daemon.analyzeOscillation(0, opts.thresholds.apply());
-    result.spyRatios = spy->ratios();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.wire, spy->decodedSlots());
-    result.payloadBitErrorRate = result.bitErrorRate;
-    if (opts.protocol.enabled) {
-        // Receiver's link layer: the decoded slots, in order, are its
-        // view of one wire pass (the trojan repeats cyclically, so
-        // slots past the wire length are retransmissions and the frame
-        // repeats inside the wire already vote them down).
-        std::vector<bool> received;
-        const std::size_t limit = std::min(result.decoded.size(),
-                                           result.wire.size());
-        received.reserve(limit);
-        for (std::size_t i = 0; i < limit; ++i)
-            received.push_back(result.decoded.bit(i));
-        const Message recovered = decodeProtocol(
-            Message::fromBits(std::move(received)), opts.protocol,
-            result.sent.size(), &result.protocolStats);
-        result.payloadBitErrorRate =
-            result.sent.bitErrorRate(recovered);
-    }
-    result.tlbConflicts = machine.mem().tlb(0).conflicts();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.oscillationConfidence(0);
-    return result;
-}
-
-BenignScenarioResult
-runBenignPair(const std::string& a, const std::string& b,
-              const ScenarioOptions& opts)
-{
-    BenignScenarioResult result;
-
-    // Pass 1: audit the memory bus and core 0's divider.
-    {
-        Machine machine(makeMachine(opts));
-        machine.addProcess(makeBenchmark(a, opts.seed + 1), 0);
-        machine.addProcess(makeBenchmark(b, opts.seed + 2), 1);
-        addNoise(machine, opts);
-        if (opts.response.active())
-            applyResponsePlan(machine,
-                              {ContextId{0}, ContextId{1}},
-                              opts.response);
-
-        CCAuditor auditor(machine);
-        FaultHarness faults(opts, auditor);
-        const AuditKey key = requestAuditKey(true);
-        auditor.monitorBus(key, 0);
-        auditor.monitorDivider(key, 1, 0);
-        AuditDaemon daemon(machine, auditor);
-        faults.attach(daemon);
-        machine.runQuanta(opts.quanta);
-
-        result.busQuanta = daemon.contentionQuanta(0);
-        result.dividerQuanta = daemon.contentionQuanta(1);
-        result.busVerdict =
-            daemon.analyzeContention(0, opts.thresholds.apply());
-        result.dividerVerdict =
-            daemon.analyzeContention(1, opts.thresholds.apply());
-        result.pipeline.accumulate(daemon.pipelineStats());
-        result.degraded.accumulate(daemon.degradedStats());
-        result.confidence = std::min(
-            {result.confidence,
-             daemon.contentionConfidence(0, result.busVerdict),
-             daemon.contentionConfidence(1, result.dividerVerdict)});
-    }
-
-    // Pass 2: identical run auditing core 0's L2 cache instead (the
-    // auditor monitors at most two units at a time).
-    {
-        Machine machine(makeMachine(opts));
-        machine.addProcess(makeBenchmark(a, opts.seed + 1), 0);
-        machine.addProcess(makeBenchmark(b, opts.seed + 2), 1);
-        addNoise(machine, opts);
-        if (opts.response.active())
-            applyResponsePlan(machine,
-                              {ContextId{0}, ContextId{1}},
-                              opts.response);
-
-        CCAuditor auditor(machine);
-        FaultHarness faults(opts, auditor);
-        const AuditKey key = requestAuditKey(true);
-        auditor.monitorCache(key, 0, 0);
-        AuditDaemon daemon(machine, auditor);
-        faults.attach(daemon);
-        machine.runQuanta(opts.quanta);
-
-        result.cacheLabelSeries = daemon.labelSeries(0);
-        result.cacheVerdict =
-            daemon.analyzeOscillation(0, opts.thresholds.apply());
-        result.pipeline.accumulate(daemon.pipelineStats());
-        result.degraded.accumulate(daemon.degradedStats());
-        result.confidence = std::min(result.confidence,
-                                     daemon.oscillationConfidence(0));
-    }
-    return result;
 }
 
 } // namespace cchunter

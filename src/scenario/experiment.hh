@@ -95,10 +95,11 @@ struct ScenarioOptions
     Cycles busEvasionPeriod = 0;
 
     /**
-     * Record the raw indicator-event train for the first this-many
-     * ticks of the run (0 disables recording).  Used by the figure-4
-     * event-train plots; kept bounded because full-rate divider
-     * conflict trains are enormous.
+     * Traced runs record the raw indicator-event train for the first
+     * this-many ticks (0 disables recording) into
+     * ScenarioTrace::eventTrain.  Used by the figure-4 event-train
+     * plots; kept bounded because full-rate divider conflict trains
+     * are enormous.
      */
     Tick trainWindowTicks = 0;
 
@@ -145,121 +146,6 @@ Message expectedBits(const Message& sent, std::size_t n);
 double slotBitErrorRate(
     const Message& sent,
     const std::vector<std::pair<std::size_t, bool>>& decoded);
-
-/** Result of a memory-bus channel scenario. */
-struct BusScenarioResult
-{
-    std::vector<Histogram> quantaHistograms; //!< per-quantum densities
-    ContentionVerdict verdict;
-    std::vector<double> spySamples; //!< figure-2 series
-    Message sent;
-    Message decoded;
-    double bitErrorRate = 1.0;
-    std::uint64_t lockEvents = 0;
-    Tick deltaT = 0;
-    /** Lock-event train within options.trainWindowTicks. */
-    EventTrain eventTrain;
-    /** (bit slot, spy's mean access latency) per decoded slot. */
-    std::vector<std::pair<std::size_t, double>> slotMeans;
-    /** Observation-pipeline health counters from the daemon. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon (all zero when no
-     *  faults were injected). */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-/** Result of an integer-divider channel scenario. */
-struct DividerScenarioResult
-{
-    std::vector<Histogram> quantaHistograms;
-    ContentionVerdict verdict;
-    std::vector<double> spySamples; //!< figure-3 series
-    Message sent;
-    Message decoded;
-    double bitErrorRate = 1.0;
-    std::uint64_t conflictEvents = 0;
-    Tick deltaT = 0;
-    /** Wait-conflict event train within options.trainWindowTicks. */
-    EventTrain eventTrain;
-    /** (bit slot, spy's mean loop latency) per decoded slot. */
-    std::vector<std::pair<std::size_t, double>> slotMeans;
-    /** Observation-pipeline health counters from the daemon. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon (all zero when no
-     *  faults were injected). */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-/** Result of a shared-cache channel scenario. */
-struct CacheScenarioResult
-{
-    std::vector<ConflictRecord> records;
-    std::vector<double> labelSeries;
-    OscillationVerdict verdict;
-    std::vector<double> spyRatios; //!< figure-7 series
-    Message sent;
-    Message decoded;
-    double bitErrorRate = 1.0;
-    std::uint64_t trackedConflicts = 0;
-    /** Observation-pipeline health counters from the daemon. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon (all zero when no
-     *  faults were injected). */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-/** Result of a shared-TLB channel scenario. */
-struct TlbScenarioResult
-{
-    std::vector<ConflictRecord> records;
-    std::vector<double> labelSeries;
-    OscillationVerdict verdict;
-    std::vector<double> spyRatios;
-    Message sent;    //!< the payload
-    Message wire;    //!< transmitted bits (== sent without protocol)
-    Message decoded; //!< spy's wire-level decode
-    /** Raw wire-slot BER (before any protocol decoding). */
-    double bitErrorRate = 1.0;
-    /** Payload BER after protocol decoding (== bitErrorRate when the
-     *  protocol is disabled). */
-    double payloadBitErrorRate = 1.0;
-    ProtocolDecodeStats protocolStats;
-    std::uint64_t tlbConflicts = 0;
-    /** Observation-pipeline health counters from the daemon. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon. */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-/** Result of a benign pair run (false-alarm study). */
-struct BenignScenarioResult
-{
-    std::vector<Histogram> busQuanta;
-    std::vector<Histogram> dividerQuanta;
-    std::vector<double> cacheLabelSeries;
-    ContentionVerdict busVerdict;
-    ContentionVerdict dividerVerdict;
-    OscillationVerdict cacheVerdict;
-    /** Pipeline health accumulated across both audit passes. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon (all zero when no
-     *  faults were injected). */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-// AuditedWorkload, BenignAuditUnits and the workload name maps now
-// live with the unit registry (units/unit_registry.hh): the scenario
-// layer looks descriptors up instead of switching on the enum.
 
 /** Options of one live-audited (online-analysis) run. */
 struct OnlineAuditOptions
@@ -374,13 +260,6 @@ std::size_t finalizeDeferredOscillations(
     std::vector<UnitOutcome*>& pending);
 
 /**
- * Result of one live-audited run: the online alarm stream (each alarm
- * carrying its channel signature and confidence) plus the pipeline and
- * degradation ledgers.  For a fixed option set this is deterministic —
- * including across analysisThreads values and the async hand-off under
- * Block — which is what lets the fleet auditor shard tenants freely.
- */
-/**
  * Ground-truth decode oracle of a channel run: what the spy actually
  * recovered, and the channel's effective bandwidth after accounting
  * for protocol overhead and the BSC capacity at the observed payload
@@ -414,6 +293,13 @@ struct ResponseEngagement
     ResponseLevel level = ResponseLevel::Observe;
 };
 
+/**
+ * Result of one live-audited run: the online alarm stream (each alarm
+ * carrying its channel signature and confidence) plus the pipeline and
+ * degradation ledgers.  For a fixed option set this is deterministic —
+ * including across analysisThreads values and the async hand-off under
+ * Block — which is what lets the fleet auditor shard tenants freely.
+ */
 struct OnlineAuditResult
 {
     std::vector<Alarm> alarms;
@@ -445,43 +331,53 @@ struct OnlineAuditResult
     std::vector<UnitOutcome> finalVerdicts;
 };
 
-/** Run one machine under live audit (the online-analysis cadence). */
-OnlineAuditResult runOnlineAudit(const OnlineAuditOptions& options);
+/**
+ * Figure data of one live-audited run: what the paper's figure and
+ * table harnesses plot beyond the verdicts.  runOnlineAudit fills it
+ * only when the caller asks for one, so an untraced run copies nothing.
+ */
+struct ScenarioTrace
+{
+    /** One monitored slot (ascending slot order, parallel to
+     *  OnlineAuditResult::finalVerdicts). */
+    struct Slot
+    {
+        /** The daemon's retained window: per-quantum densities for
+         *  contention units, conflict records and their label series
+         *  for oscillation units. */
+        std::vector<Histogram> quanta;
+        std::vector<ConflictRecord> records;
+        std::vector<double> labelSeries;
+        /** The unit's own conflict counter at the end of the run. */
+        std::uint64_t conflicts = 0;
+    };
+    std::vector<Slot> slots;
 
-/** Run the memory-bus covert channel under audit. */
-BusScenarioResult runBusScenario(const ScenarioOptions& options);
+    // The channel, read through the ChannelSpy interface (left empty
+    // for benign-pair runs).
+    Message sent;    //!< the payload
+    Message wire;    //!< transmitted bits (== sent without protocol)
+    Message decoded; //!< spy's wire-level decode
+    /** The spy's observation series (figures 2, 3 and 7). */
+    std::vector<double> spySamples;
+    /** (bit slot, spy's mean observation) per decoded slot; empty for
+     *  the prime/probe spies. */
+    std::vector<std::pair<std::size_t, double>> slotMeans;
 
-/** Run the integer-divider covert channel under audit. */
-DividerScenarioResult runDividerScenario(const ScenarioOptions& options);
+    /** Raw indicator events within scenario.trainWindowTicks, for
+     *  units with a train listener (figure 4). */
+    EventTrain eventTrain;
+};
 
 /**
- * Run the Wang & Lee SMT/multiplier covert channel under audit.  Not
- * part of the paper's evaluation, but squarely inside its claim that
- * recurrent-conflict detection covers all shared processor hardware.
- * Result has the divider-scenario shape (the channels share the SMT
- * execution-unit mechanics).
+ * Run one machine under live audit (the online-analysis cadence).
+ * This is the one scenario path: every registered unit's channel and
+ * every benign pairing runs through it.  With `trace` non-null the
+ * run's figure data is copied out as well; the audit itself is the
+ * same either way.
  */
-DividerScenarioResult runMultiplierScenario(
-    const ScenarioOptions& options);
-
-/** Run the shared-L2 covert channel under audit. */
-CacheScenarioResult runCacheScenario(const ScenarioOptions& options);
-
-/**
- * Run the shared-TLB covert channel under audit (SMT siblings priming
- * and probing the per-core TLB's sets).  With options.protocol.enabled
- * the trojan transmits the protocol-coded payload and the result
- * carries both wire-level and decoded-payload error rates.
- */
-TlbScenarioResult runTlbScenario(const ScenarioOptions& options);
-
-/**
- * Run a benign benchmark pair as hyperthreads on core 0 and audit all
- * three resources (two passes honouring the two-slot auditor limit).
- */
-BenignScenarioResult runBenignPair(const std::string& a,
-                                   const std::string& b,
-                                   const ScenarioOptions& options);
+OnlineAuditResult runOnlineAudit(const OnlineAuditOptions& options,
+                                 ScenarioTrace* trace = nullptr);
 
 } // namespace cchunter
 

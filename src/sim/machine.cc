@@ -1,6 +1,7 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
+#include <atomic>
 
 #include "sim/trace.hh"
 #include "util/logging.hh"
@@ -41,8 +42,11 @@ Machine::multiplier(unsigned core)
 Process&
 Machine::addProcess(std::unique_ptr<Workload> workload, ContextId pinned)
 {
-    static ProcessId next_pid = 1;
-    auto process = std::make_unique<Process>(next_pid++,
+    // Process-wide, so pids stay unique (and increasing within each
+    // machine, which the conflict labels compare) while fleet shards
+    // build machines concurrently.
+    static std::atomic<ProcessId> next_pid{1};
+    auto process = std::make_unique<Process>(next_pid.fetch_add(1),
                                              std::move(workload), pinned);
     return sched_.addProcess(std::move(process));
 }

@@ -1,5 +1,6 @@
 #include "sim/trace.hh"
 
+#include <atomic>
 #include <cstdlib>
 #include <iostream>
 
@@ -11,9 +12,11 @@ namespace cchunter
 namespace
 {
 
-std::uint32_t enabledMask = 0;
+// Atomic because concurrently simulated machines (fleet shards) check
+// and lazily initialise the mask from several threads.
+std::atomic<std::uint32_t> enabledMask{0};
 std::ostream* sink = nullptr;
-bool envChecked = false;
+std::atomic<bool> envChecked{false};
 
 std::uint32_t
 maskOf(TraceCategory c)
@@ -27,13 +30,13 @@ void
 Trace::enable(TraceCategory categories)
 {
     envChecked = true;
-    enabledMask |= maskOf(categories);
+    enabledMask.fetch_or(maskOf(categories));
 }
 
 void
 Trace::disable(TraceCategory categories)
 {
-    enabledMask &= ~maskOf(categories);
+    enabledMask.fetch_and(~maskOf(categories));
 }
 
 void

@@ -7,6 +7,8 @@
 #include "channels/cache_channel.hh"
 #include "channels/divider_channel.hh"
 #include "channels/tlb_channel.hh"
+#include "uarch/divider.hh"
+#include "uarch/multiplier.hh"
 #include "util/logging.hh"
 
 namespace cchunter
@@ -18,6 +20,21 @@ namespace
 /** Name reserved for the no-channel benchmark-pair workload; not a
  *  unit, so it lives beside the registry, not in it. */
 constexpr const char* kBenignWorkloadName = "benign";
+
+/** Record an SMT unit's wait conflicts below `limit`, expanding each
+ *  conflict burst into its individual wait events. */
+void
+recordWaitTrain(SmtExecUnit& unit, Tick limit, std::vector<Tick>& events)
+{
+    unit.addWaitListener([&events, limit](const WaitConflictBurst& b) {
+        for (std::uint64_t i = 0; i < b.count; ++i) {
+            const Tick t = b.start + i * b.spacing;
+            if (t >= limit)
+                break;
+            events.push_back(t);
+        }
+    });
+}
 
 UnitDescriptor
 makeBusUnit()
@@ -47,6 +64,17 @@ makeBusUnit()
                    unsigned slot, const UnitRunContext&) {
         auditor.monitorBus(key, slot);
     };
+    d.listenTrain = [](Machine& machine, Tick limit,
+                       std::vector<Tick>& events) {
+        machine.mem().bus().addLockListener(
+            [&events, limit](Tick when, ContextId) {
+                if (when < limit)
+                    events.push_back(when);
+            });
+    };
+    d.countConflicts = [](Machine& machine, CCAuditor&, unsigned) {
+        return machine.mem().bus().locks();
+    };
     return d;
 }
 
@@ -75,6 +103,13 @@ makeDividerUnit()
     d.program = [](CCAuditor& auditor, const AuditKey& key,
                    unsigned slot, const UnitRunContext&) {
         auditor.monitorDivider(key, slot, /*core=*/0);
+    };
+    d.listenTrain = [](Machine& machine, Tick limit,
+                       std::vector<Tick>& events) {
+        recordWaitTrain(machine.divider(0), limit, events);
+    };
+    d.countConflicts = [](Machine& machine, CCAuditor&, unsigned) {
+        return machine.divider(0).totalConflicts();
     };
     return d;
 }
@@ -109,6 +144,13 @@ makeMultiplierUnit()
     d.program = [](CCAuditor& auditor, const AuditKey& key,
                    unsigned slot, const UnitRunContext&) {
         auditor.monitorMultiplier(key, slot, /*core=*/0);
+    };
+    d.listenTrain = [](Machine& machine, Tick limit,
+                       std::vector<Tick>& events) {
+        recordWaitTrain(machine.multiplier(0), limit, events);
+    };
+    d.countConflicts = [](Machine& machine, CCAuditor&, unsigned) {
+        return machine.multiplier(0).totalConflicts();
     };
     return d;
 }
@@ -162,6 +204,14 @@ makeCacheUnit()
             auditor.monitorCache(key, slot, /*core=*/0,
                                  ctx.trackerParams);
     };
+    d.countConflicts = [](Machine&, CCAuditor& auditor,
+                          unsigned slot) -> std::uint64_t {
+        if (const auto* oracle = auditor.idealTracker(slot))
+            return oracle->conflictMisses();
+        if (const auto* tracker = auditor.tracker(slot))
+            return tracker->conflictMisses();
+        return 0;
+    };
     return d;
 }
 
@@ -207,6 +257,9 @@ makeTlbUnit()
                    unsigned slot, const UnitRunContext&) {
         auditor.monitorTlb(key, slot, /*core=*/0);
     };
+    d.countConflicts = [](Machine& machine, CCAuditor&, unsigned) {
+        return machine.mem().tlb(0).conflicts();
+    };
     return d;
 }
 
@@ -225,6 +278,9 @@ validateDescriptor(const UnitDescriptor& d)
     if (!d.program)
         fatal("UnitRegistry: unit '", d.name,
               "' needs an auditor-programming hook");
+    if (!d.countConflicts)
+        fatal("UnitRegistry: unit '", d.name,
+              "' needs a conflict counter");
 }
 
 } // namespace

@@ -10,8 +10,9 @@
  * switch statements: the stable name, the conflict semantics, the
  * detector policy (contention vs. oscillation), default thresholds and
  * Δt, the recommended mitigation, and the hooks that configure a
- * machine, build the trojan/spy workload pair, and program the
- * CC-Auditor.
+ * machine, build the trojan/spy workload pair, program the CC-Auditor
+ * and, for traced runs, record the raw event train and read the
+ * unit's conflict counter.
  *
  * Layers above (scenario, eval, fleet, mitigate) iterate or look up
  * descriptors; the only remaining per-unit translation shims are data
@@ -195,6 +196,20 @@ struct UnitDescriptor
     std::function<void(CCAuditor&, const AuditKey&, unsigned slot,
                        const UnitRunContext&)>
         program;
+
+    /**
+     * Traced runs only: record the unit's raw indicator events with
+     * timestamps below `limit` into `events`, which outlives the run
+     * (the figure-4 event trains).  Unset for units without an
+     * event-level listener.
+     */
+    std::function<void(Machine&, Tick limit, std::vector<Tick>& events)>
+        listenTrain;
+
+    /** Traced runs only: the unit's conflict counter at the end of a
+     *  run, `slot` being the auditor slot that watched it (required). */
+    std::function<std::uint64_t(Machine&, CCAuditor&, unsigned slot)>
+        countConflicts;
 };
 
 /**

@@ -164,9 +164,9 @@ runDividerOutcome(OnlineAnalysisParams params, std::size_t quanta = 8)
     return ScenarioOutcome{daemon.alarms(), daemon.pipelineStats()};
 }
 
-/** Run the divider trojan/spy scenario and return the alarm stream. */
+/** Run the divider trojan/spy pair and return the alarm stream. */
 std::vector<Alarm>
-runDividerScenario(std::size_t analysis_threads)
+dividerAlarms(std::size_t analysis_threads)
 {
     OnlineAnalysisParams params;
     params.clusteringIntervalQuanta = 4;
@@ -191,8 +191,8 @@ TEST(OnlineAnalysisTest, ParallelFanOutMatchesSerialAlarms)
 {
     // The fan-out across monitored units must leave the alarm stream
     // bit-identical to the serial path: same alarms, same order.
-    const auto serial = runDividerScenario(1);
-    const auto parallel = runDividerScenario(4);
+    const auto serial = dividerAlarms(1);
+    const auto parallel = dividerAlarms(4);
     ASSERT_FALSE(serial.empty());
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -288,7 +288,7 @@ TEST(CacheChannelTest, SpyDecodesBitsViaLatencyRatio)
         EXPECT_EQ(raw->decodedSlots()[i].second, msg.bit(i))
             << "bit " << i;
     // Ratios reflect the bit: > 1 for '1', < 1 for '0' (paper fig. 7).
-    const auto& ratios = raw->ratios();
+    const auto& ratios = raw->samples();
     ASSERT_GE(ratios.size(), 8u);
     for (std::size_t i = 1; i < 8; ++i) {
         if (msg.bit(i))

@@ -28,6 +28,17 @@ fastOptions()
     return opts;
 }
 
+/** Run a channel through the one scenario path, keeping its trace. */
+OnlineAuditResult
+audit(AuditedWorkload workload, const ScenarioOptions& opts,
+      ScenarioTrace* trace = nullptr)
+{
+    OnlineAuditOptions options;
+    options.workload = workload;
+    options.scenario = opts;
+    return runOnlineAudit(options, trace);
+}
+
 } // namespace
 
 TEST(ThresholdPlumbingTest, ValidateRejectsOutOfRangeCutoffs)
@@ -85,30 +96,36 @@ TEST(ThresholdPlumbingTest, DefaultThresholdsKeepRunsBitIdentical)
     explicitPaper.thresholds.contentionLikelihood = 0.5;
     explicitPaper.thresholds.oscillationPeak = 0.35;
     explicitPaper.thresholds.oscillationStrongPeak = 0.6;
-    const DividerScenarioResult a = runDividerScenario(defaults);
-    const DividerScenarioResult b = runDividerScenario(explicitPaper);
-    EXPECT_EQ(a.verdict.detected, b.verdict.detected);
-    EXPECT_EQ(a.verdict.summary(), b.verdict.summary());
-    EXPECT_EQ(a.bitErrorRate, b.bitErrorRate);
-    EXPECT_EQ(a.sent.toString(), b.sent.toString());
+    ScenarioTrace ta, tb;
+    const OnlineAuditResult a =
+        audit(AuditedWorkload::Divider, defaults, &ta);
+    const OnlineAuditResult b =
+        audit(AuditedWorkload::Divider, explicitPaper, &tb);
+    const ContentionVerdict& va = a.finalVerdicts[0].contention;
+    const ContentionVerdict& vb = b.finalVerdicts[0].contention;
+    EXPECT_EQ(va.detected, vb.detected);
+    EXPECT_EQ(va.summary(), vb.summary());
+    EXPECT_EQ(a.channel.wireBitErrorRate, b.channel.wireBitErrorRate);
+    EXPECT_EQ(ta.sent.toString(), tb.sent.toString());
 }
 
 TEST(ThresholdPlumbingTest, DetectedAtReproducesTheContentionVerdict)
 {
-    const DividerScenarioResult run =
-        runDividerScenario(fastOptions());
-    EXPECT_TRUE(run.verdict.detected);
-    EXPECT_EQ(run.verdict.detectedAt(0.5), run.verdict.detected);
+    const OnlineAuditResult run =
+        audit(AuditedWorkload::Divider, fastOptions());
+    const ContentionVerdict& verdict = run.finalVerdicts[0].contention;
+    EXPECT_TRUE(verdict.detected);
+    EXPECT_EQ(verdict.detectedAt(0.5), verdict.detected);
     // Re-deciding is monotone: loosening can only keep or gain the
     // detection, tightening can only keep or lose it.
     bool previous = true;
     for (double t = 0.05; t <= 0.951; t += 0.05) {
-        const bool now = run.verdict.detectedAt(t);
+        const bool now = verdict.detectedAt(t);
         EXPECT_TRUE(previous || !now) << "non-monotone at " << t;
         previous = now;
     }
     // The paper separation: a real channel survives far above 0.5.
-    EXPECT_TRUE(run.verdict.detectedAt(0.9));
+    EXPECT_TRUE(verdict.detectedAt(0.9));
 }
 
 TEST(ThresholdPlumbingTest, DetectedAtReproducesTheOscillationVerdict)
@@ -116,16 +133,16 @@ TEST(ThresholdPlumbingTest, DetectedAtReproducesTheOscillationVerdict)
     ScenarioOptions opts = fastOptions();
     opts.bandwidthBps = 1000.0;
     opts.quanta = 12;
-    const CacheScenarioResult run = runCacheScenario(opts);
-    EXPECT_TRUE(run.verdict.detected);
+    const OnlineAuditResult run = audit(AuditedWorkload::Cache, opts);
+    const OscillationVerdict& verdict = run.finalVerdicts[0].oscillation;
+    EXPECT_TRUE(verdict.detected);
     const CCHunterParams paper = DetectionThresholds{}.apply();
-    EXPECT_EQ(run.verdict.detectedAt(paper.oscillation),
-              run.verdict.detected);
+    EXPECT_EQ(verdict.detectedAt(paper.oscillation), verdict.detected);
     // An impossible peak floor kills the re-decision.
     OscillationParams strict = paper.oscillation;
     strict.peakThreshold = 1.0;
     strict.strongPeakThreshold = 1.0;
-    EXPECT_FALSE(run.verdict.detectedAt(strict));
+    EXPECT_FALSE(verdict.detectedAt(strict));
 }
 
 TEST(ThresholdPlumbingTest, ScenarioConfigEchoesTheCutoffs)

@@ -24,6 +24,17 @@ namespace cchunter
 namespace
 {
 
+/** Run a channel through the one scenario path, keeping its trace. */
+OnlineAuditResult
+audit(AuditedWorkload workload, const ScenarioOptions& opts,
+      ScenarioTrace* trace = nullptr)
+{
+    OnlineAuditOptions options;
+    options.workload = workload;
+    options.scenario = opts;
+    return runOnlineAudit(options, trace);
+}
+
 /**
  * The CC-Auditor's hardware histogram buffer must agree with the
  * software-side density computation over the same raw event train.
@@ -37,15 +48,16 @@ TEST(PipelineTest, HardwareHistogramMatchesOfflineComputation)
     opts.noiseProcesses = 0;
     opts.trainWindowTicks = opts.quantum;
 
-    const BusScenarioResult r = runBusScenario(opts);
-    ASSERT_EQ(r.quantaHistograms.size(), 1u);
+    ScenarioTrace r;
+    audit(AuditedWorkload::Bus, opts, &r);
+    ASSERT_EQ(r.slots[0].quanta.size(), 1u);
 
     EventTrain train = r.eventTrain;
     train.setWindow(0, opts.quantum);
     const Histogram offline =
         buildEventDensityHistogram(train, busDeltaT, 128);
 
-    const Histogram& hardware = r.quantaHistograms[0];
+    const Histogram& hardware = r.slots[0].quanta[0];
     ASSERT_EQ(offline.totalSamples(), hardware.totalSamples());
     for (std::size_t b = 0; b < 128; ++b)
         EXPECT_EQ(offline.bin(b), hardware.bin(b)) << "bin " << b;
@@ -67,14 +79,16 @@ TEST(PipelineTest, CacheChannelRunStructureMatchesSets)
     opts.noiseProcesses = 0;
     opts.cacheRoundsPerBit = 1;
 
-    const CacheScenarioResult r = runCacheScenario(opts);
-    ASSERT_GT(r.labelSeries.size(), 512u);
+    ScenarioTrace trace;
+    audit(AuditedWorkload::Cache, opts, &trace);
+    const std::vector<double>& labels = trace.slots[0].labelSeries;
+    ASSERT_GT(labels.size(), 512u);
 
     // Measure run lengths after warm-up.
     std::vector<std::size_t> runs;
     std::size_t run = 1;
-    for (std::size_t i = 257; i < r.labelSeries.size(); ++i) {
-        if (r.labelSeries[i] == r.labelSeries[i - 1]) {
+    for (std::size_t i = 257; i < labels.size(); ++i) {
+        if (labels[i] == labels[i - 1]) {
             ++run;
         } else {
             runs.push_back(run);
@@ -154,11 +168,13 @@ TEST(PipelineTest, DividerConflictsRequireCoResidency)
 
     // All-zero message: the trojan never contends, so the spy's
     // divisions run unconflicted and nothing is detected.
-    const DividerScenarioResult r = runDividerScenario(opts);
-    EXPECT_EQ(r.conflictEvents, 0u);
-    EXPECT_FALSE(r.verdict.detected);
+    ScenarioTrace trace;
+    const OnlineAuditResult r =
+        audit(AuditedWorkload::Divider, opts, &trace);
+    EXPECT_EQ(trace.slots[0].conflicts, 0u);
+    EXPECT_FALSE(r.finalVerdicts[0].contention.detected);
     // And the spy decodes all zeros.
-    EXPECT_LT(r.bitErrorRate, 0.05);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.05);
 }
 
 /** The whole pipeline is deterministic per seed, channel by channel. */
@@ -168,12 +184,14 @@ TEST(PipelineTest, CacheScenarioDeterministic)
     opts.bandwidthBps = 1000.0;
     opts.quantum = 2500000;
     opts.quanta = 4;
-    const CacheScenarioResult a = runCacheScenario(opts);
-    const CacheScenarioResult b = runCacheScenario(opts);
-    ASSERT_EQ(a.labelSeries.size(), b.labelSeries.size());
-    EXPECT_EQ(a.labelSeries, b.labelSeries);
-    EXPECT_EQ(a.verdict.analysis.dominantLag,
-              b.verdict.analysis.dominantLag);
+    ScenarioTrace ta, tb;
+    const OnlineAuditResult a = audit(AuditedWorkload::Cache, opts, &ta);
+    const OnlineAuditResult b = audit(AuditedWorkload::Cache, opts, &tb);
+    ASSERT_EQ(ta.slots[0].labelSeries.size(),
+              tb.slots[0].labelSeries.size());
+    EXPECT_EQ(ta.slots[0].labelSeries, tb.slots[0].labelSeries);
+    EXPECT_EQ(a.finalVerdicts[0].oscillation.analysis.dominantLag,
+              b.finalVerdicts[0].oscillation.analysis.dominantLag);
 }
 
 /** Different seeds change interference but not verdicts. */
@@ -188,9 +206,10 @@ TEST_P(SeedSweepTest, DetectionRobustAcrossSeeds)
     opts.quantum = 2500000;
     opts.quanta = 6;
     opts.seed = GetParam();
-    const BusScenarioResult bus = runBusScenario(opts);
-    EXPECT_TRUE(bus.verdict.detected) << "seed " << GetParam();
-    EXPECT_LT(bus.bitErrorRate, 0.1) << "seed " << GetParam();
+    const OnlineAuditResult bus = audit(AuditedWorkload::Bus, opts);
+    EXPECT_TRUE(bus.finalVerdicts[0].contention.detected)
+        << "seed " << GetParam();
+    EXPECT_LT(bus.channel.wireBitErrorRate, 0.1) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweepTest,

@@ -45,37 +45,139 @@ TEST(ScenarioOptionsTest, SignalCapDefaults)
     EXPECT_EQ(opts.effectiveSignalTicks(), 123u);
 }
 
+/** Run a registered unit's channel through the one scenario path. */
+OnlineAuditResult
+auditChannel(AuditedWorkload workload, const ScenarioOptions& opts,
+             ScenarioTrace* trace = nullptr)
+{
+    OnlineAuditOptions options;
+    options.workload = workload;
+    options.scenario = opts;
+    return runOnlineAudit(options, trace);
+}
+
+/** Minimum conflict count a unit's channel must show at fastOptions(). */
+std::uint64_t
+conflictFloor(const UnitDescriptor& unit)
+{
+    if (unit.id == MonitorTarget::MemoryBus)
+        return 100;
+    if (unit.policy == AlarmKind::Contention)
+        return 1000; // divider and multiplier wait conflicts
+    return 0;
+}
+
+/**
+ * Every registered unit's covert channel runs through runOnlineAudit
+ * and is detected by its own analysis path, decoded within its BER
+ * bound, and traced: its retained window, spy series and conflict
+ * counter all come back through the one ScenarioTrace.
+ */
+class UnitScenarioTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+/** Registered unit names, in registration order. */
+std::vector<std::string>
+registeredUnits()
+{
+    std::vector<std::string> names;
+    for (const UnitDescriptor& unit :
+         UnitRegistry::instance().descriptors())
+        names.emplace_back(unit.name);
+    return names;
+}
+
+TEST_P(UnitScenarioTest, DetectedAndDecodedThroughTheOnePath)
+{
+    const UnitDescriptor& unit =
+        *UnitRegistry::instance().byName(GetParam());
+    const bool oscillates = unit.policy == AlarmKind::Oscillation;
+    ScenarioOptions opts = fastOptions();
+    if (oscillates) {
+        // One bit per quantum gives the correlogram a few hundred
+        // prime/probe periods per bit.
+        opts.bandwidthBps = 1000.0;
+        opts.quanta = 12;
+    }
+    ScenarioTrace trace;
+    const OnlineAuditResult r = auditChannel(unit.workload, opts, &trace);
+
+    ASSERT_EQ(r.finalVerdicts.size(), 1u);
+    const UnitOutcome& outcome = r.finalVerdicts[0];
+    EXPECT_EQ(outcome.unit, unit.id);
+    EXPECT_EQ(outcome.kind, unit.policy);
+    EXPECT_TRUE(outcome.detected);
+    EXPECT_GT(r.quantaRecorded, 0u);
+
+    ASSERT_TRUE(r.channel.present);
+    EXPECT_LT(r.channel.wireBitErrorRate, oscillates ? 0.2 : 0.05);
+    // No protocol: the wire is the payload and both error rates agree.
+    EXPECT_EQ(trace.wire.toString(), trace.sent.toString());
+    EXPECT_DOUBLE_EQ(r.channel.payloadBitErrorRate,
+                     r.channel.wireBitErrorRate);
+    EXPECT_EQ(r.channel.protocolStats.frames, 0u);
+    EXPECT_FALSE(trace.spySamples.empty());
+    EXPECT_FALSE(trace.decoded.empty());
+
+    ASSERT_EQ(trace.slots.size(), 1u);
+    const ScenarioTrace::Slot& window = trace.slots[0];
+    EXPECT_GT(window.conflicts, conflictFloor(unit));
+    if (oscillates) {
+        EXPECT_FALSE(window.records.empty());
+        EXPECT_EQ(window.labelSeries.size(), window.records.size());
+        EXPECT_TRUE(outcome.oscillation.detected);
+    } else {
+        EXPECT_TRUE(outcome.contention.detected);
+        EXPECT_GT(outcome.contention.recurrence.maxLikelihoodRatio, 0.9);
+        EXPECT_EQ(window.quanta.size(), opts.quanta);
+        EXPECT_FALSE(trace.slotMeans.empty());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, UnitScenarioTest, ::testing::ValuesIn(registeredUnits()),
+    [](const ::testing::TestParamInfo<std::string>& unit) {
+        return unit.param;
+    });
+
 TEST(BusScenarioTest, DetectsAndDecodes)
 {
-    auto r = runBusScenario(fastOptions());
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GT(r.verdict.recurrence.maxLikelihoodRatio, 0.9);
-    EXPECT_LT(r.bitErrorRate, 0.05);
-    EXPECT_GT(r.lockEvents, 100u);
-    EXPECT_EQ(r.quantaHistograms.size(), 8u);
-    EXPECT_FALSE(r.spySamples.empty());
+    ScenarioTrace trace;
+    const auto r = auditChannel(AuditedWorkload::Bus, fastOptions(), &trace);
+    const ContentionVerdict& verdict = r.finalVerdicts[0].contention;
+    EXPECT_TRUE(verdict.detected);
+    EXPECT_GT(verdict.recurrence.maxLikelihoodRatio, 0.9);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.05);
+    EXPECT_GT(trace.slots[0].conflicts, 100u);
+    EXPECT_EQ(trace.slots[0].quanta.size(), 8u);
+    EXPECT_FALSE(trace.spySamples.empty());
 }
 
 TEST(BusScenarioTest, BurstPeakNearTwentyLocksPerWindow)
 {
-    auto r = runBusScenario(fastOptions());
+    const auto r = auditChannel(AuditedWorkload::Bus, fastOptions());
     // Locks are paced every 5000 cycles; delta-t = 100k -> bursts of
     // ~20 (paper figure 6a).
-    EXPECT_NEAR(static_cast<double>(r.verdict.combined.burstPeakBin),
+    EXPECT_NEAR(static_cast<double>(
+                    r.finalVerdicts[0].contention.combined.burstPeakBin),
                 20.0, 3.0);
 }
 
 TEST(DividerScenarioTest, DetectsAndDecodes)
 {
-    auto r = runDividerScenario(fastOptions());
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GT(r.verdict.recurrence.maxLikelihoodRatio, 0.9);
-    EXPECT_LT(r.bitErrorRate, 0.05);
-    EXPECT_GT(r.conflictEvents, 1000u);
+    ScenarioTrace trace;
+    const auto r =
+        auditChannel(AuditedWorkload::Divider, fastOptions(), &trace);
+    const ContentionVerdict& verdict = r.finalVerdicts[0].contention;
+    EXPECT_TRUE(verdict.detected);
+    EXPECT_GT(verdict.recurrence.maxLikelihoodRatio, 0.9);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.05);
+    EXPECT_GT(trace.slots[0].conflicts, 1000u);
     // Burst cluster near 96 wait-conflicts per 500-cycle window
     // (paper figure 6b: bins 84-105).
-    EXPECT_GE(r.verdict.combined.burstPeakBin, 84u);
-    EXPECT_LE(r.verdict.combined.burstPeakBin, 105u);
+    EXPECT_GE(verdict.combined.burstPeakBin, 84u);
+    EXPECT_LE(verdict.combined.burstPeakBin, 105u);
 }
 
 TEST(CacheScenarioTest, DetectsOscillationNearSetCount)
@@ -84,14 +186,16 @@ TEST(CacheScenarioTest, DetectsOscillationNearSetCount)
     opts.bandwidthBps = 1000.0; // one bit per ms quantum
     opts.quanta = 16;
     opts.channelSets = 512;
-    auto r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    ScenarioTrace trace;
+    const auto r = auditChannel(AuditedWorkload::Cache, opts, &trace);
+    const OscillationVerdict& verdict = r.finalVerdicts[0].oscillation;
+    EXPECT_TRUE(verdict.detected);
     // Dominant lag tracks the set count, slightly inflated by noise
     // (paper: 533 for 512 sets).
-    EXPECT_GE(r.verdict.analysis.dominantLag, 500u);
-    EXPECT_LE(r.verdict.analysis.dominantLag, 600u);
-    EXPECT_LT(r.bitErrorRate, 0.2);
-    EXPECT_FALSE(r.records.empty());
+    EXPECT_GE(verdict.analysis.dominantLag, 500u);
+    EXPECT_LE(verdict.analysis.dominantLag, 600u);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.2);
+    EXPECT_FALSE(trace.slots[0].records.empty());
 }
 
 TEST(CacheScenarioTest, FewerSetsShorterPeriod)
@@ -100,19 +204,23 @@ TEST(CacheScenarioTest, FewerSetsShorterPeriod)
     opts.bandwidthBps = 1000.0;
     opts.quanta = 12;
     opts.channelSets = 128;
-    auto r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GE(r.verdict.analysis.dominantLag, 120u);
-    EXPECT_LE(r.verdict.analysis.dominantLag, 180u);
+    const auto r = auditChannel(AuditedWorkload::Cache, opts);
+    const OscillationVerdict& verdict = r.finalVerdicts[0].oscillation;
+    EXPECT_TRUE(verdict.detected);
+    EXPECT_GE(verdict.analysis.dominantLag, 120u);
+    EXPECT_LE(verdict.analysis.dominantLag, 180u);
 }
 
 TEST(MultiplierScenarioTest, DetectsAndDecodes)
 {
-    auto r = runMultiplierScenario(fastOptions());
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GT(r.verdict.recurrence.maxLikelihoodRatio, 0.9);
-    EXPECT_LT(r.bitErrorRate, 0.05);
-    EXPECT_GT(r.conflictEvents, 1000u);
+    ScenarioTrace trace;
+    const auto r =
+        auditChannel(AuditedWorkload::Multiplier, fastOptions(), &trace);
+    const ContentionVerdict& verdict = r.finalVerdicts[0].contention;
+    EXPECT_TRUE(verdict.detected);
+    EXPECT_GT(verdict.recurrence.maxLikelihoodRatio, 0.9);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.05);
+    EXPECT_GT(trace.slots[0].conflicts, 1000u);
 }
 
 TEST(BusScenarioTest, EvasionKeepsDetectionKillsChannel)
@@ -122,21 +230,33 @@ TEST(BusScenarioTest, EvasionKeepsDetectionKillsChannel)
     opts.quanta = 6;
     // Decoys at the signalling rate: every window looks contended.
     opts.busEvasionPeriod = 5000;
-    auto r = runBusScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    const auto r = auditChannel(AuditedWorkload::Bus, opts);
+    EXPECT_TRUE(r.finalVerdicts[0].contention.detected);
     // The spy can no longer tell '1' slots from decoyed '0' slots.
-    EXPECT_GT(r.bitErrorRate, 0.2);
+    EXPECT_GT(r.channel.wireBitErrorRate, 0.2);
 }
 
 TEST(BenignScenarioTest, NoFalseAlarms)
 {
     ScenarioOptions opts = fastOptions();
     opts.quanta = 4;
+    // Bus + divider in one run, the L2 beside the bus in a second: the
+    // auditor watches two units at a time.
     for (const char* name : {"gobmk", "mailserver"}) {
-        auto r = runBenignPair(name, name, opts);
-        EXPECT_FALSE(r.busVerdict.detected) << name;
-        EXPECT_FALSE(r.dividerVerdict.detected) << name;
-        EXPECT_FALSE(r.cacheVerdict.detected) << name;
+        for (const BenignAuditUnits units :
+             {BenignAuditUnits::BusDivider, BenignAuditUnits::CacheBus}) {
+            OnlineAuditOptions options;
+            options.workload = AuditedWorkload::BenignPair;
+            options.scenario = opts;
+            options.benignA = name;
+            options.benignB = name;
+            options.benignUnits = units;
+            const OnlineAuditResult r = runOnlineAudit(options);
+            ASSERT_EQ(r.finalVerdicts.size(), 2u);
+            for (const UnitOutcome& outcome : r.finalVerdicts)
+                EXPECT_FALSE(outcome.detected)
+                    << name << " " << monitorTargetName(outcome.unit);
+        }
     }
 }
 
@@ -147,9 +267,10 @@ TEST(CacheScenarioTest, IdealTrackerAlsoDetects)
     opts.quanta = 12;
     opts.channelSets = 128;
     opts.idealTracker = true;
-    auto r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GT(r.trackedConflicts, 0u);
+    ScenarioTrace trace;
+    const auto r = auditChannel(AuditedWorkload::Cache, opts, &trace);
+    EXPECT_TRUE(r.finalVerdicts[0].oscillation.detected);
+    EXPECT_GT(trace.slots[0].conflicts, 0u);
 }
 
 TEST(CacheScenarioTest, StarvedBloomStillDetects)
@@ -159,20 +280,22 @@ TEST(CacheScenarioTest, StarvedBloomStillDetects)
     opts.quanta = 12;
     opts.channelSets = 128;
     opts.trackerParams.bloomBitsPerGeneration = 256; // N/16
-    auto r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    const auto r = auditChannel(AuditedWorkload::Cache, opts);
+    EXPECT_TRUE(r.finalVerdicts[0].oscillation.detected);
 }
 
 TEST(ScenarioTest, DeterministicForSeed)
 {
     ScenarioOptions opts = fastOptions();
     opts.quanta = 3;
-    auto a = runBusScenario(opts);
-    auto b = runBusScenario(opts);
-    EXPECT_EQ(a.lockEvents, b.lockEvents);
-    EXPECT_EQ(a.decoded.toString(), b.decoded.toString());
-    EXPECT_DOUBLE_EQ(a.verdict.combined.likelihoodRatio,
-                     b.verdict.combined.likelihoodRatio);
+    ScenarioTrace ta, tb;
+    const auto a = auditChannel(AuditedWorkload::Bus, opts, &ta);
+    const auto b = auditChannel(AuditedWorkload::Bus, opts, &tb);
+    EXPECT_EQ(ta.slots[0].conflicts, tb.slots[0].conflicts);
+    EXPECT_EQ(ta.decoded.toString(), tb.decoded.toString());
+    EXPECT_DOUBLE_EQ(
+        a.finalVerdicts[0].contention.combined.likelihoodRatio,
+        b.finalVerdicts[0].contention.combined.likelihoodRatio);
 }
 
 TEST(ScenarioTest, MessagePropagates)
@@ -180,20 +303,42 @@ TEST(ScenarioTest, MessagePropagates)
     ScenarioOptions opts = fastOptions();
     opts.quanta = 3;
     opts.message = Message::fromBits({true, true, false, true});
-    auto r = runBusScenario(opts);
-    EXPECT_EQ(r.sent.toString(), "1101");
+    ScenarioTrace trace;
+    auditChannel(AuditedWorkload::Bus, opts, &trace);
+    EXPECT_EQ(trace.sent.toString(), "1101");
 }
 
 TEST(ScenarioTest, PipelineStatsPopulated)
 {
     ScenarioOptions opts = fastOptions();
     opts.quanta = 3;
-    auto r = runBusScenario(opts);
+    const auto r = auditChannel(AuditedWorkload::Bus, opts);
     // One monitored slot, three quanta drained, nothing evicted (the
     // run is far below the 512-quantum retention default).
     EXPECT_EQ(r.pipeline.drainedHistograms, 3u);
     EXPECT_EQ(r.pipeline.evictedQuanta, 0u);
     EXPECT_FALSE(r.pipeline.summary().empty());
+}
+
+TEST(ScenarioTest, TraceLeavesTheAuditUnchanged)
+{
+    // The trace is a read-out: asking for one must not perturb the
+    // audited run.
+    ScenarioOptions opts = fastOptions();
+    opts.quanta = 3;
+    opts.trainWindowTicks = opts.quantum;
+    ScenarioTrace trace;
+    const auto traced = auditChannel(AuditedWorkload::Divider, opts, &trace);
+    const auto plain = auditChannel(AuditedWorkload::Divider, opts);
+    ASSERT_EQ(traced.finalVerdicts.size(), plain.finalVerdicts.size());
+    EXPECT_EQ(traced.finalVerdicts[0].contention.summary(),
+              plain.finalVerdicts[0].contention.summary());
+    EXPECT_EQ(traced.alarms.size(), plain.alarms.size());
+    EXPECT_DOUBLE_EQ(traced.channel.wireBitErrorRate,
+                     plain.channel.wireBitErrorRate);
+    EXPECT_FALSE(trace.eventTrain.empty());
+    for (const auto& e : trace.eventTrain.events())
+        EXPECT_LT(e.time, opts.trainWindowTicks);
 }
 
 TEST(ScenarioTest, ScenarioConfigEchoesEffectiveOptions)

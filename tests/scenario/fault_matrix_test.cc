@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault-matrix scenario tests: the canned trojan/spy scenarios driven
- * through seeded fault plans.  Detection must survive moderate fault
+ * Fault-matrix scenario tests: trojan/spy runs through runOnlineAudit
+ * driven by seeded fault plans.  Detection must survive moderate fault
  * rates with honestly degraded confidence, fault-free plans must leave
  * scenario results bit-identical to pre-fault-injection runs, and any
  * seeded plan must reproduce exactly.
@@ -28,23 +28,39 @@ fastOptions()
     return opts;
 }
 
+/** Run a channel through the one scenario path, keeping its trace. */
+OnlineAuditResult
+audit(AuditedWorkload workload, const ScenarioOptions& opts,
+      ScenarioTrace* trace = nullptr)
+{
+    OnlineAuditOptions options;
+    options.workload = workload;
+    options.scenario = opts;
+    return runOnlineAudit(options, trace);
+}
+
 TEST(FaultMatrixTest, CleanPlanLeavesDividerRunUntouched)
 {
     const ScenarioOptions clean = fastOptions();
     ScenarioOptions with_plan = fastOptions();
     with_plan.faults = FaultPlan{}; // explicit all-zero plan
 
-    const DividerScenarioResult a = runDividerScenario(clean);
-    const DividerScenarioResult b = runDividerScenario(with_plan);
+    ScenarioTrace ta, tb;
+    const OnlineAuditResult a = audit(AuditedWorkload::Divider, clean, &ta);
+    const OnlineAuditResult b =
+        audit(AuditedWorkload::Divider, with_plan, &tb);
+    const UnitOutcome& va = a.finalVerdicts[0];
+    const UnitOutcome& vb = b.finalVerdicts[0];
 
-    EXPECT_EQ(a.verdict.summary(), b.verdict.summary());
-    EXPECT_EQ(a.decoded.toString(), b.decoded.toString());
-    EXPECT_DOUBLE_EQ(a.bitErrorRate, b.bitErrorRate);
-    EXPECT_EQ(a.conflictEvents, b.conflictEvents);
+    EXPECT_EQ(va.contention.summary(), vb.contention.summary());
+    EXPECT_EQ(ta.decoded.toString(), tb.decoded.toString());
+    EXPECT_DOUBLE_EQ(a.channel.wireBitErrorRate,
+                     b.channel.wireBitErrorRate);
+    EXPECT_EQ(ta.slots[0].conflicts, tb.slots[0].conflicts);
     EXPECT_EQ(a.degraded.totalFaults(), 0u);
     EXPECT_EQ(b.degraded.totalFaults(), 0u);
-    EXPECT_DOUBLE_EQ(a.confidence, 1.0);
-    EXPECT_DOUBLE_EQ(b.confidence, 1.0);
+    EXPECT_DOUBLE_EQ(va.confidence, 1.0);
+    EXPECT_DOUBLE_EQ(vb.confidence, 1.0);
     // Clean config dumps carry no faults.* keys.
     EXPECT_EQ(scenarioConfig(clean).dump(),
               scenarioConfig(with_plan).dump());
@@ -59,14 +75,15 @@ TEST(FaultMatrixTest, DividerDetectsAtTenPercentLoss)
     opts.faults.seed = 4;
     opts.faults.dropQuantumRate = 0.10;
 
-    const DividerScenarioResult r = runDividerScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GE(r.verdict.combined.likelihoodRatio, 0.9);
+    const OnlineAuditResult r = audit(AuditedWorkload::Divider, opts);
+    const UnitOutcome& v = r.finalVerdicts[0];
+    EXPECT_TRUE(v.contention.detected);
+    EXPECT_GE(v.contention.combined.likelihoodRatio, 0.9);
     if (r.degraded.missedQuanta > 0) {
         EXPECT_LT(r.degraded.windowCoverage, 1.0);
-        EXPECT_LT(r.confidence, 1.0);
+        EXPECT_LT(v.confidence, 1.0);
     }
-    EXPECT_GT(r.confidence, 0.0);
+    EXPECT_GT(v.confidence, 0.0);
 }
 
 TEST(FaultMatrixTest, SeededScenarioRunsAreDeterministic)
@@ -77,11 +94,13 @@ TEST(FaultMatrixTest, SeededScenarioRunsAreDeterministic)
     opts.faults.duplicateQuantumRate = 0.05;
     opts.faults.saturatePaperWidths = true;
 
-    const DividerScenarioResult a = runDividerScenario(opts);
-    const DividerScenarioResult b = runDividerScenario(opts);
+    const OnlineAuditResult a = audit(AuditedWorkload::Divider, opts);
+    const OnlineAuditResult b = audit(AuditedWorkload::Divider, opts);
 
-    EXPECT_EQ(a.verdict.summary(), b.verdict.summary());
-    EXPECT_DOUBLE_EQ(a.confidence, b.confidence);
+    EXPECT_EQ(a.finalVerdicts[0].contention.summary(),
+              b.finalVerdicts[0].contention.summary());
+    EXPECT_DOUBLE_EQ(a.finalVerdicts[0].confidence,
+                     b.finalVerdicts[0].confidence);
     EXPECT_EQ(a.degraded.missedQuanta, b.degraded.missedQuanta);
     EXPECT_EQ(a.degraded.duplicatedQuanta, b.degraded.duplicatedQuanta);
     EXPECT_EQ(a.degraded.saturatedBinEvents,
@@ -104,33 +123,42 @@ TEST(FaultMatrixTest, CacheScenarioDegradesGracefully)
     opts.faults.truncateBatchRate = 0.1;
     opts.faults.bloomAliasRate = 0.001;
 
-    const CacheScenarioResult r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    const OnlineAuditResult r = audit(AuditedWorkload::Cache, opts);
+    const UnitOutcome& v = r.finalVerdicts[0];
+    EXPECT_TRUE(v.oscillation.detected);
     EXPECT_GT(r.degraded.totalFaults(), 0u);
-    EXPECT_LT(r.confidence, 1.0);
-    EXPECT_GT(r.confidence, 0.0);
+    EXPECT_LT(v.confidence, 1.0);
+    EXPECT_GT(v.confidence, 0.0);
 }
 
 TEST(FaultMatrixTest, BenignPairStaysQuietUnderFaults)
 {
     // Fault injection must not conjure channels out of benign noise:
     // dropped quanta and saturated entries degrade confidence, not
-    // discrimination.
-    ScenarioOptions opts;
-    opts.quanta = 4;
-    opts.quantum = 2500000;
-    opts.seed = 2;
-    opts.faults.seed = 12;
-    opts.faults.dropQuantumRate = 0.1;
-    opts.faults.saturatePaperWidths = true;
+    // discrimination.  Bus + divider run once, the L2 (beside the
+    // bus) once more.
+    OnlineAuditOptions options;
+    options.workload = AuditedWorkload::BenignPair;
+    options.scenario.quanta = 4;
+    options.scenario.quantum = 2500000;
+    options.scenario.seed = 2;
+    options.scenario.faults.seed = 12;
+    options.scenario.faults.dropQuantumRate = 0.1;
+    options.scenario.faults.saturatePaperWidths = true;
+    options.benignA = "gobmk";
+    options.benignB = "sjeng";
 
-    const BenignScenarioResult r =
-        runBenignPair("gobmk", "sjeng", opts);
-    EXPECT_FALSE(r.busVerdict.detected);
-    EXPECT_FALSE(r.dividerVerdict.detected);
-    EXPECT_FALSE(r.cacheVerdict.detected);
-    EXPECT_LE(r.confidence, 1.0);
-    EXPECT_GT(r.confidence, 0.0);
+    for (const BenignAuditUnits units :
+         {BenignAuditUnits::BusDivider, BenignAuditUnits::CacheBus}) {
+        options.benignUnits = units;
+        const OnlineAuditResult r = runOnlineAudit(options);
+        ASSERT_EQ(r.finalVerdicts.size(), 2u);
+        for (const UnitOutcome& v : r.finalVerdicts) {
+            EXPECT_FALSE(v.detected) << monitorTargetName(v.unit);
+            EXPECT_LE(v.confidence, 1.0);
+            EXPECT_GT(v.confidence, 0.0);
+        }
+    }
 }
 
 } // namespace

@@ -20,18 +20,30 @@ tlbOptions()
     return opts;
 }
 
+/** Run the TLB channel through the one scenario path. */
+OnlineAuditResult
+auditTlb(const ScenarioOptions& opts, ScenarioTrace* trace)
+{
+    OnlineAuditOptions options;
+    options.workload = AuditedWorkload::Tlb;
+    options.scenario = opts;
+    return runOnlineAudit(options, trace);
+}
+
 TEST(TlbScenarioTest, DetectsOscillationAndDecodes)
 {
-    const auto r = runTlbScenario(tlbOptions());
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_FALSE(r.records.empty());
-    EXPECT_FALSE(r.spyRatios.empty());
-    EXPECT_GT(r.tlbConflicts, 0u);
-    EXPECT_LT(r.bitErrorRate, 0.2);
+    ScenarioTrace trace;
+    const OnlineAuditResult r = auditTlb(tlbOptions(), &trace);
+    const ChannelDecodeOutcome& ch = r.channel;
+    EXPECT_TRUE(r.finalVerdicts[0].oscillation.detected);
+    EXPECT_FALSE(trace.slots[0].records.empty());
+    EXPECT_FALSE(trace.spySamples.empty());
+    EXPECT_GT(trace.slots[0].conflicts, 0u);
+    EXPECT_LT(ch.wireBitErrorRate, 0.2);
     // No protocol: the wire is the payload and both error rates agree.
-    EXPECT_EQ(r.wire.toString(), r.sent.toString());
-    EXPECT_DOUBLE_EQ(r.payloadBitErrorRate, r.bitErrorRate);
-    EXPECT_EQ(r.protocolStats.frames, 0u);
+    EXPECT_EQ(trace.wire.toString(), trace.sent.toString());
+    EXPECT_DOUBLE_EQ(ch.payloadBitErrorRate, ch.wireBitErrorRate);
+    EXPECT_EQ(ch.protocolStats.frames, 0u);
 }
 
 TEST(TlbScenarioTest, ProtocolCodingRecoversThePayload)
@@ -44,26 +56,29 @@ TEST(TlbScenarioTest, ProtocolCodingRecoversThePayload)
     opts.message = Message::fromBits(
         {true, false, true, true, false, false, true, false});
     opts.bandwidthBps = 10000.0;
-    const auto r = runTlbScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    ScenarioTrace trace;
+    const OnlineAuditResult r = auditTlb(opts, &trace);
+    const ChannelDecodeOutcome& ch = r.channel;
+    EXPECT_TRUE(r.finalVerdicts[0].oscillation.detected);
     // The wire burst is longer than the payload (preamble + repeats +
     // parity + gap) and the spy decodes it back through the protocol.
-    EXPECT_EQ(r.wire.size(), opts.protocol.burstBits());
-    EXPECT_GT(r.wire.size(), r.sent.size());
-    EXPECT_GT(r.protocolStats.frames, 0u);
-    EXPECT_LE(r.payloadBitErrorRate, r.bitErrorRate);
-    EXPECT_LT(r.payloadBitErrorRate, 0.05);
+    EXPECT_EQ(trace.wire.size(), opts.protocol.burstBits());
+    EXPECT_GT(trace.wire.size(), trace.sent.size());
+    EXPECT_GT(ch.protocolStats.frames, 0u);
+    EXPECT_LE(ch.payloadBitErrorRate, ch.wireBitErrorRate);
+    EXPECT_LT(ch.payloadBitErrorRate, 0.05);
 }
 
 TEST(TlbScenarioTest, DeterministicForSeed)
 {
     ScenarioOptions opts = tlbOptions();
     opts.quanta = 6;
-    const auto a = runTlbScenario(opts);
-    const auto b = runTlbScenario(opts);
+    ScenarioTrace a, b;
+    auditTlb(opts, &a);
+    auditTlb(opts, &b);
     EXPECT_EQ(a.decoded.toString(), b.decoded.toString());
-    EXPECT_EQ(a.labelSeries, b.labelSeries);
-    EXPECT_EQ(a.tlbConflicts, b.tlbConflicts);
+    EXPECT_EQ(a.slots[0].labelSeries, b.slots[0].labelSeries);
+    EXPECT_EQ(a.slots[0].conflicts, b.slots[0].conflicts);
 }
 
 TEST(TlbOnlineAuditTest, TlbWorkloadJudgedByOscillationPath)

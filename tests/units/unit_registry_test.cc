@@ -24,6 +24,9 @@ stubUnit(MonitorTarget id, AuditedWorkload workload, const char* name)
     d.buildWorkload = [](Machine&, const UnitRunContext&) {};
     d.program = [](CCAuditor&, const AuditKey&, unsigned,
                    const UnitRunContext&) {};
+    d.countConflicts = [](Machine&, CCAuditor&, unsigned) {
+        return std::uint64_t{0};
+    };
     return d;
 }
 
@@ -81,6 +84,7 @@ TEST(UnitRegistryTest, DescriptorsCarryCompletePolicies)
         EXPECT_NE(std::string(d.conflictSemantics), "") << d.name;
         EXPECT_TRUE(d.buildWorkload) << d.name;
         EXPECT_TRUE(d.program) << d.name;
+        EXPECT_TRUE(d.countConflicts) << d.name;
         // Contention units observe through a count-down histogram and
         // need a delta-t; oscillation units have no such register.
         if (d.policy == AlarmKind::Contention)
@@ -164,6 +168,11 @@ TEST(UnitRegistryTest, IncompleteDescriptorsAreRejected)
                                         AuditedWorkload::Bus, "bus");
     noProgram.program = nullptr;
     EXPECT_THROW(registry.registerUnit(noProgram), std::runtime_error);
+
+    UnitDescriptor noCounter = stubUnit(MonitorTarget::MemoryBus,
+                                        AuditedWorkload::Bus, "bus");
+    noCounter.countConflicts = nullptr;
+    EXPECT_THROW(registry.registerUnit(noCounter), std::runtime_error);
 }
 
 TEST(UnitRegistryTest, UnknownLookupsReturnNullOrThrow)
