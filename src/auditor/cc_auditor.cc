@@ -162,10 +162,12 @@ CCAuditor::monitorCache(const AuditKey& key, unsigned slot,
     st->cacheTracker = std::make_unique<ConflictMissTracker>(
         l2.geometry().numBlocks(), params);
     st->vectors = std::make_unique<ConflictVectorRegisters>();
+    // The slot owns this tracker, so a raw pointer outlives every
+    // call; capturing the shared_ptr would be a cycle that never frees.
     st->cacheTracker->addListener(
-        [st](const ConflictMissEvent& ev) {
-            if (st->active)
-                st->vectors->record(ev);
+        [slotState = st.get()](const ConflictMissEvent& ev) {
+            if (slotState->active)
+                slotState->vectors->record(ev);
         });
     l2.setMonitor(st->cacheTracker.get());
 }
@@ -187,10 +189,12 @@ CCAuditor::monitorCacheIdeal(const AuditKey& key, unsigned slot,
     st->idealTracker = std::make_unique<LruStackTracker>(
         l2.geometry().numBlocks());
     st->vectors = std::make_unique<ConflictVectorRegisters>();
+    // The slot owns this tracker, so a raw pointer outlives every
+    // call; capturing the shared_ptr would be a cycle that never frees.
     st->idealTracker->addListener(
-        [st](const ConflictMissEvent& ev) {
-            if (st->active)
-                st->vectors->record(ev);
+        [slotState = st.get()](const ConflictMissEvent& ev) {
+            if (slotState->active)
+                slotState->vectors->record(ev);
         });
     l2.setMonitor(st->idealTracker.get());
 }

@@ -21,6 +21,8 @@ Machine::Machine(MachineParams params)
             first, params_.multiplier));
     }
     contexts_.assign(mem_.numContexts(), ContextState{});
+    eq_.setContextHandler(mem_.numContexts(),
+                          [this](ContextId ctx) { step(ctx); });
 }
 
 DividerUnit&
@@ -87,8 +89,8 @@ Machine::assignContext(ContextId ctx, Process* process, Tick now)
     if (cs.running)
         cs.running->workload().onDeschedule(now);
     cs.running = process;
-    ++cs.generation;
     if (!process) {
+        eq_.clearContext(ctx);
         trace(TraceCategory::Sched, now, "ctx ", int{ctx}, " idles");
         return;
     }
@@ -99,25 +101,15 @@ Machine::assignContext(ContextId ctx, Process* process, Tick now)
     cs.view.context = ctx;
     const Tick begin =
         std::max(now, cs.busyUntil) + params_.switchPenalty;
-    scheduleStep(ctx, begin);
+    // Replaces the pending step of the context's previous process.
+    eq_.scheduleContext(ctx, begin);
 }
 
 void
-Machine::scheduleStep(ContextId ctx, Tick when)
-{
-    const std::uint64_t gen = contexts_[ctx].generation;
-    eq_.schedule(when, [this, ctx, gen] { step(ctx, gen); });
-}
-
-void
-Machine::step(ContextId ctx, std::uint64_t generation)
+Machine::step(ContextId ctx)
 {
     ContextState& cs = contexts_[ctx];
-    if (cs.generation != generation)
-        return; // context was re-assigned; this step is stale
     Process* p = cs.running;
-    if (!p || p->halted())
-        return;
 
     const Tick now = eq_.now();
     cs.view.now = now;
@@ -128,7 +120,6 @@ Machine::step(ContextId ctx, std::uint64_t generation)
         p->setHalted();
         p->workload().onDeschedule(now);
         cs.running = nullptr;
-        ++cs.generation;
         return;
     }
 
@@ -137,7 +128,7 @@ Machine::step(ContextId ctx, std::uint64_t generation)
     p->stats().busyCycles += done - now;
     cs.view.lastLatency = static_cast<Cycles>(done - now);
     cs.busyUntil = done;
-    scheduleStep(ctx, done);
+    eq_.scheduleContext(ctx, done);
 }
 
 Tick

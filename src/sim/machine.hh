@@ -44,6 +44,11 @@ class Machine
   public:
     explicit Machine(MachineParams params = {});
 
+    /** The scheduler and the event queue's context handler hold this
+     *  machine's address. */
+    Machine(const Machine&) = delete;
+    Machine& operator=(const Machine&) = delete;
+
     /**
      * Create a process executing `workload`, optionally pinned to a
      * hardware context.
@@ -80,7 +85,6 @@ class Machine
     struct ContextState
     {
         Process* running = nullptr;
-        std::uint64_t generation = 0;
         Tick busyUntil = 0;
         ExecView view;
     };
@@ -89,8 +93,8 @@ class Machine
      *  idle the context). */
     void assignContext(ContextId ctx, Process* process, Tick now);
 
-    void scheduleStep(ContextId ctx, Tick when);
-    void step(ContextId ctx, std::uint64_t generation);
+    /** Run `ctx`'s due step: the queue's context handler. */
+    void step(ContextId ctx);
     Tick executeAction(ContextId ctx, Process& process,
                        const Action& action);
 

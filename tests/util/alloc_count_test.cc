@@ -6,69 +6,18 @@
  * autocorrelogramFft promise that once their buffers have reached
  * capacity (one warm-up call), repeated windows allocate nothing.
  * This binary replaces the global operator new/delete with counting
- * versions and asserts exactly that — which is why it is its own test
- * executable rather than part of test_util.
+ * versions (alloc_counter.cc) and asserts exactly that — which is why
+ * it is its own test executable rather than part of test_util.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hh"
 #include "detect/autocorrelation.hh"
 #include "util/fft.hh"
 #include "util/rng.hh"
-
-namespace
-{
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-} // namespace
-
-void*
-operator new(std::size_t size)
-{
-    ++g_allocations;
-    if (void* p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t size)
-{
-    ++g_allocations;
-    if (void* p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace cchunter
 {
@@ -88,9 +37,9 @@ binarySeries(std::uint64_t seed, std::size_t n)
 
 TEST(AllocCountTest, CounterSeesOrdinaryAllocations)
 {
-    const std::uint64_t before = g_allocations.load();
+    const std::uint64_t before = allocationCount();
     auto* v = new std::vector<double>(1000, 1.0);
-    EXPECT_GT(g_allocations.load(), before);
+    EXPECT_GT(allocationCount(), before);
     delete v;
 }
 
@@ -105,11 +54,11 @@ TEST(AllocCountTest, AutocorrelationSumsSteadyStateAllocatesNothing)
     // cache for this transform size.
     autocorrelationSumsFft(x.data(), x.size(), max_lag, scratch, out);
 
-    const std::uint64_t before = g_allocations.load();
+    const std::uint64_t before = allocationCount();
     for (int round = 0; round < 16; ++round)
         autocorrelationSumsFft(x.data(), x.size(), max_lag, scratch,
                                out);
-    EXPECT_EQ(g_allocations.load(), before)
+    EXPECT_EQ(allocationCount(), before)
         << "steady-state transform allocated";
 }
 
@@ -122,10 +71,10 @@ TEST(AllocCountTest, AutocorrelogramSteadyStateAllocatesNothing)
     std::vector<double> out;
     autocorrelogramFft(x, max_lag, scratch, out);
 
-    const std::uint64_t before = g_allocations.load();
+    const std::uint64_t before = allocationCount();
     for (int round = 0; round < 16; ++round)
         autocorrelogramFft(x, max_lag, scratch, out);
-    EXPECT_EQ(g_allocations.load(), before)
+    EXPECT_EQ(allocationCount(), before)
         << "steady-state correlogram allocated";
 }
 
@@ -142,12 +91,12 @@ TEST(AllocCountTest, SmallerWindowsReuseTheGrownScratch)
     autocorrelogramFft(large, 256, scratch, out);
     autocorrelogramFft(small, 128, scratch, out);
 
-    const std::uint64_t before = g_allocations.load();
+    const std::uint64_t before = allocationCount();
     for (int round = 0; round < 8; ++round) {
         autocorrelogramFft(large, 256, scratch, out);
         autocorrelogramFft(small, 128, scratch, out);
     }
-    EXPECT_EQ(g_allocations.load(), before)
+    EXPECT_EQ(allocationCount(), before)
         << "mixed-window steady state allocated";
 }
 
