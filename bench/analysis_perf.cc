@@ -17,7 +17,6 @@
 #include "detect/burst_detector.hh"
 #include "detect/detector.hh"
 #include "detect/event_density.hh"
-#include "detect/incremental_autocorr.hh"
 #include "detect/kmeans.hh"
 #include "detect/pattern_clustering.hh"
 #include "util/fft.hh"
@@ -458,60 +457,6 @@ BM_DistanceKernel(benchmark::State& state)
                             static_cast<std::int64_t>(a.size()));
 }
 BENCHMARK(BM_DistanceKernel)->Arg(1)->Arg(0);
-
-/**
- * Sliding-window refresh, incremental: stream 4096 labels through a
- * 4096-capacity maintainer that is already full (every push evicts),
- * querying the full correlogram once per 256 pushes — the per-quantum
- * audit cadence.  Compare with BM_SlidingWindowRecompute: same
- * schedule, but each query recomputes from the window contents.
- */
-void
-BM_SlidingWindowIncremental(benchmark::State& state)
-{
-    constexpr std::size_t kWindow = 4096;
-    constexpr std::size_t kLag = 1000;
-    const auto feed = makeNoisyLabelSeries(2 * kWindow);
-    IncrementalAutocorrelation inc(kLag, kWindow);
-    for (std::size_t i = 0; i < kWindow; ++i)
-        inc.push(feed[i]);
-    std::vector<double> gram;
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < kWindow; ++i) {
-            inc.push(feed[kWindow + i]);
-            if (i % 256 == 255) {
-                inc.correlogram(kLag, gram);
-                benchmark::DoNotOptimize(gram.data());
-            }
-        }
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kWindow));
-}
-BENCHMARK(BM_SlidingWindowIncremental)->Unit(benchmark::kMillisecond);
-
-/** The full-recompute reference for BM_SlidingWindowIncremental. */
-void
-BM_SlidingWindowRecompute(benchmark::State& state)
-{
-    constexpr std::size_t kWindow = 4096;
-    constexpr std::size_t kLag = 1000;
-    const auto feed = makeNoisyLabelSeries(2 * kWindow);
-    std::vector<double> window(feed.begin(), feed.begin() + kWindow);
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < kWindow; ++i) {
-            window.erase(window.begin());
-            window.push_back(feed[kWindow + i]);
-            if (i % 256 == 255) {
-                auto gram = autocorrelogram(window, kLag);
-                benchmark::DoNotOptimize(gram);
-            }
-        }
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kWindow));
-}
-BENCHMARK(BM_SlidingWindowRecompute)->Unit(benchmark::kMillisecond);
 
 std::vector<std::vector<double>>
 makeBatchSeries(std::size_t count)

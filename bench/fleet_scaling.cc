@@ -10,7 +10,8 @@
  *    incident-stream hash — the subsystem's determinism contract.
  *  - Scaling (hardware-permitting): with >= 4 cores available, the
  *    1 -> 4 shard speedup on the default 16-tenant fleet must reach
- *    2.5x.  On smaller machines the expectation scales down to
+ *    2.5x, each shard count timed as the median of three passes so
+ *    one descheduled pass cannot fail the gate.  On smaller machines the expectation scales down to
  *    min(shards, cores) and the JSON records the cores seen, so CI
  *    on a big runner enforces the real target while a laptop (or a
  *    one-core container) still checks equivalence honestly instead
@@ -19,12 +20,12 @@
  * Arguments (key=value): tenants=16, quanta=8, quantum=2500000,
  * seed=1, max_shards=8, workers=0 (0 = hardware), out=BENCH_fleet.json.
  * Kernel knobs: analysis.simd=1 (vectorised analysis kernels),
- * analysis.incrementalAutocorr=1 (per-quantum sliding-window
- * maintainer), fleet.batchedFft=1 (batched end-of-run transforms) —
- * flip any of them off to measure its contribution; the incident
- * stream must stay identical either way.
+ * fleet.batchedFft=1 (batched end-of-run transforms) — flip either
+ * off to measure its contribution; the incident stream must stay
+ * identical either way.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -40,6 +41,9 @@ using namespace cchunter::bench;
 
 namespace
 {
+
+/** Timed passes per shard count; the median is reported. */
+constexpr std::size_t kPasses = 3;
 
 struct ScalePoint
 {
@@ -108,8 +112,6 @@ main(int argc, char** argv)
         static_cast<std::size_t>(cfg.getUint("workers", 0));
     const std::string out = cfg.getString("out", "BENCH_fleet.json");
     setSimdEnabled(cfg.getBool("analysis.simd", true));
-    const bool incremental =
-        cfg.getBool("analysis.incrementalAutocorr", true);
     const bool batchedFft = cfg.getBool("fleet.batchedFft", true);
 
     const std::size_t hardware = ThreadPool::hardwareConcurrency();
@@ -122,14 +124,10 @@ main(int argc, char** argv)
                 fleet.tenants, fleet.quanta,
                 static_cast<unsigned long long>(fleet.seed), hardware);
 
-    const TenantRegistry synthetic = TenantRegistry::synthetic(fleet);
-    TenantRegistry registry;
-    for (TenantConfig tenant : synthetic.tenants()) {
-        tenant.audit.online.incrementalAutocorr = incremental;
-        registry.add(std::move(tenant));
-    }
+    const TenantRegistry registry = TenantRegistry::synthetic(fleet);
 
     std::vector<ScalePoint> points;
+    bool equivalent = true;
     TableWriter t({"shards", "wall ms", "tenants/s", "speedup",
                    "alarms", "incidents", "hash"});
     for (std::size_t shards = 1; shards <= maxShards; shards *= 2) {
@@ -137,17 +135,28 @@ main(int argc, char** argv)
         params.shards = shards;
         params.workerThreads = workers;
         params.batchedFft = batchedFft;
-        FleetAuditor auditor(registry, params);
-
-        const auto start = std::chrono::steady_clock::now();
-        FleetAuditReport report = auditor.run();
-        const auto end = std::chrono::steady_clock::now();
 
         ScalePoint p;
         p.shards = shards;
-        p.wallMs = std::chrono::duration<double, std::milli>(
-                       end - start)
-                       .count();
+        std::vector<double> wallMs;
+        for (std::size_t pass = 0; pass < kPasses; ++pass) {
+            FleetAuditor auditor(registry, params);
+            const auto start = std::chrono::steady_clock::now();
+            const FleetAuditReport report = auditor.run();
+            const auto end = std::chrono::steady_clock::now();
+            wallMs.push_back(std::chrono::duration<double, std::milli>(
+                                 end - start)
+                                 .count());
+            const std::uint64_t hash = report.incidents.streamHash();
+            if (pass == 0) {
+                p.incidentHash = hash;
+                p.alarms = report.alarmsTotal;
+                p.incidents = report.incidents.incidents().size();
+            }
+            equivalent &= hash == p.incidentHash;
+        }
+        std::sort(wallMs.begin(), wallMs.end());
+        p.wallMs = wallMs[kPasses / 2];
         p.tenantsPerSec = p.wallMs > 0.0
                               ? 1000.0 * static_cast<double>(
                                              fleet.tenants) /
@@ -156,9 +165,6 @@ main(int argc, char** argv)
         p.speedup = points.empty() || p.wallMs <= 0.0
                         ? 1.0
                         : points.front().wallMs / p.wallMs;
-        p.incidentHash = report.incidents.streamHash();
-        p.alarms = report.alarmsTotal;
-        p.incidents = report.incidents.incidents().size();
         points.push_back(p);
 
         char hash[24];
@@ -171,7 +177,6 @@ main(int argc, char** argv)
     }
     t.render(std::cout);
 
-    bool equivalent = true;
     for (const ScalePoint& p : points)
         equivalent &= p.incidentHash == points.front().incidentHash;
 
@@ -179,7 +184,7 @@ main(int argc, char** argv)
 
     if (!equivalent) {
         std::fprintf(stderr, "FAIL: incident stream depends on the "
-                             "shard count\n");
+                             "shard count or the pass\n");
         return 1;
     }
 

@@ -25,10 +25,6 @@ PipelineStats::accumulate(const PipelineStats& other)
     drainedConflicts += other.drainedConflicts;
     evictedQuanta += other.evictedQuanta;
     evictedConflicts += other.evictedConflicts;
-    batchesEnqueued += other.batchesEnqueued;
-    batchesDropped += other.batchesDropped;
-    queueDepthHighWater =
-        std::max(queueDepthHighWater, other.queueDepthHighWater);
     if (other.analysesRun != 0) {
         latencyMinUs = analysesRun == 0
                            ? other.latencyMinUs
@@ -45,10 +41,8 @@ PipelineStats::summary() const
     std::ostringstream os;
     os << "drained " << drainedHistograms << " hist / "
        << drainedConflicts << " conflicts, evicted " << evictedQuanta
-       << " quanta / " << evictedConflicts << " conflicts, batches "
-       << batchesEnqueued << " (" << batchesDropped
-       << " dropped, queue hwm " << queueDepthHighWater
-       << "), analyses " << analysesRun;
+       << " quanta / " << evictedConflicts << " conflicts, analyses "
+       << analysesRun;
     if (analysesRun != 0) {
         os.precision(1);
         os << std::fixed << ", latency us min/mean/max "
@@ -74,12 +68,6 @@ pipelineStatEntries(const PipelineStats& s, const std::string& prefix)
         "histograms aged out of retention windows");
     add("evicted_conflicts", static_cast<double>(s.evictedConflicts),
         "conflict records aged out of retention windows");
-    add("batches_enqueued", static_cast<double>(s.batchesEnqueued),
-        "analysis batches handed to the consumer");
-    add("batches_dropped", static_cast<double>(s.batchesDropped),
-        "analysis batches shed under DropOldest overflow");
-    add("queue_depth_hwm", static_cast<double>(s.queueDepthHighWater),
-        "hand-off queue depth high-water mark");
     add("analyses_run", static_cast<double>(s.analysesRun),
         "online analysis passes completed");
     add("latency_min_us", s.latencyMinUs,
@@ -237,14 +225,6 @@ AuditDaemon::AuditDaemon(Machine& machine, CCAuditor& auditor,
         wireCacheSlot(s);
 }
 
-AuditDaemon::~AuditDaemon()
-{
-    if (queue_)
-        queue_->close();
-    if (analysisThread_.joinable())
-        analysisThread_.join();
-}
-
 namespace
 {
 
@@ -321,13 +301,8 @@ AuditDaemon::ingestConflicts(unsigned slot,
                 rec.victimPid = p->pid();
         }
         // Maintain the label series as records arrive so the
-        // per-quantum analysis never rescans the full log, and the
-        // sliding-window autocorrelation sums so the end-of-run
-        // analysis never re-transforms it.
-        const double label = labelOf(rec);
-        st.quantumLabels.push_back(label);
-        if (st.autocorr)
-            st.autocorr->push(label);
+        // per-quantum analysis never rescans the full log.
+        st.quantumLabels.push_back(labelOf(rec));
         st.records.push(rec);
     }
     std::lock_guard<std::mutex> lock(statsMutex_);
@@ -405,7 +380,7 @@ AuditDaemon::onQuantum(std::uint64_t quantum_index, Tick now)
     if (online_)
         dispatchAnalyses(quantum_index, now);
     // The per-quantum label buffers only live for the quantum they
-    // were drained in (async batches take them by move).
+    // were drained in.
     for (auto& st : slots_)
         st.quantumLabels.clear();
     currentQuantum_ = quantum_index + 1;
@@ -418,31 +393,9 @@ AuditDaemon::enableOnlineAnalysis(OnlineAnalysisParams params,
 {
     if (params.clusteringIntervalQuanta == 0)
         fatal("enableOnlineAnalysis: clustering interval must be > 0");
-    if (analysisThread_.joinable())
-        fatal("enableOnlineAnalysis: async analysis already running");
     online_ = true;
     onlineParams_ = params;
     alarmCallback_ = std::move(callback);
-    debugRecompute_ = params.debugRecomputeMerged;
-    debugRecomputeAutocorr_ = params.debugRecomputeAutocorr;
-    if (params.incrementalAutocorr) {
-        // One maintainer per cache slot, spanning the same window as
-        // the conflict-record ring; records already retained are
-        // replayed so both views agree from the first analysis.
-        const std::size_t lag =
-            std::max<std::size_t>(2,
-                                  params.hunter.oscillation.maxLag);
-        for (unsigned s = 0; s < auditor_.numSlots(); ++s) {
-            if (!auditor_.vectorRegisters(s))
-                continue;
-            SlotState& st = slots_[s];
-            st.autocorr =
-                std::make_unique<IncrementalAutocorrelation>(
-                    lag, retention_.conflictRecords);
-            for (const ConflictRecord& r : st.records)
-                st.autocorr->push(labelOf(r));
-        }
-    }
     if (onlineParams_.analysisThreads != 1)
         pool_ = std::make_unique<ThreadPool>(
             onlineParams_.analysisThreads);
@@ -451,11 +404,6 @@ AuditDaemon::enableOnlineAnalysis(OnlineAnalysisParams params,
     setContentionRetention(params.retentionQuanta != 0
                                ? params.retentionQuanta
                                : params.clusteringIntervalQuanta);
-    if (params.asyncAnalysis) {
-        queue_ = std::make_unique<BoundedQueue<AnalysisBatch>>(
-            params.queueCapacity, params.queueOverflow);
-        analysisThread_ = std::thread([this] { analysisLoop(); });
-    }
 }
 
 void
@@ -481,24 +429,11 @@ AuditDaemon::setContentionRetention(std::size_t quanta)
 }
 
 void
-AuditDaemon::setDebugRecomputeMerged(bool recompute)
-{
-    debugRecompute_ = recompute;
-}
-
-void
-AuditDaemon::setDebugRecomputeAutocorr(bool recompute)
-{
-    debugRecomputeAutocorr_ = recompute;
-}
-
-void
 AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
 {
     const bool clusteringDue =
         (quantum_index + 1) % onlineParams_.clusteringIntervalQuanta ==
         0;
-    const bool async = queue_ != nullptr;
     const double coverage = windowCoverage();
 
     AnalysisBatch batch;
@@ -516,66 +451,29 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
                             onlineParams_.autocorrEveryQuantum;
         if (!sv.hasContention && !sv.hasOscillation)
             continue;
-        // Degradation context travels with the work so the consumer
-        // thread never reads live (sim-thread-owned) state.
+        // Degradation context travels with the work so the pool
+        // workers never read live state.
         sv.coverage = coverage;
         sv.integrity = conflictIntegrity(s);
-        if (async) {
-            // The simulation keeps mutating the live windows, so the
-            // hand-off carries snapshots: the histogram window only
-            // when clustering is due, the labels always (by move —
-            // they are per-quantum anyway).
-            SlotState& st = slots_[s];
-            if (sv.hasContention) {
-                sv.windowCopy = st.window.toVector();
-                if (st.mergedInit) {
-                    sv.mergedCopy = st.merged;
-                    sv.mergedValid = true;
-                }
-            }
-            if (sv.hasOscillation)
-                sv.labels = std::move(st.quantumLabels);
-        }
         batch.work.push_back(std::move(sv));
     }
     if (batch.work.empty())
         return;
 
     // Batch corruption happens *after* assembly — it models the
-    // hand-off itself going wrong, which is exactly what the
-    // validation stage on the consuming side must catch.
-    bool corrupted = false;
+    // analysis input itself going wrong, which is exactly what the
+    // validation stage must catch.  A corrupted batch analyses its
+    // (mangled) snapshots rather than the pristine live windows.
+    bool from_snapshots = false;
     if (injector_) {
         const FaultInjector::BatchCorruption kind =
             injector_->nextBatchCorruption();
         if (kind != FaultInjector::BatchCorruption::None) {
-            if (!async)
-                materializeSnapshots(batch);
-            corrupted = applyBatchCorruption(batch, kind);
-            if (corrupted)
+            materializeSnapshots(batch);
+            from_snapshots = applyBatchCorruption(batch, kind);
+            if (from_snapshots)
                 injector_->recordBatchCorruption();
         }
-    }
-    // An inline batch that was corrupted analyses its (mangled)
-    // snapshots rather than the pristine live windows.
-    const bool from_snapshots = async || corrupted;
-
-    if (async) {
-        {
-            std::lock_guard<std::mutex> lock(idleMutex_);
-            ++submitted_;
-        }
-        const auto outcome = queue_->push(std::move(batch));
-        if (!outcome.accepted || outcome.displaced) {
-            // Rejected by a closing queue, or an older batch was shed:
-            // either way one submission will never be analysed, and
-            // the idle accounting must reflect that or flushAnalyses()
-            // blocks forever.
-            std::lock_guard<std::mutex> lock(idleMutex_);
-            ++completed_;
-            idleCv_.notify_all();
-        }
-        return;
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -596,15 +494,15 @@ void
 AuditDaemon::materializeSnapshots(AnalysisBatch& batch)
 {
     for (auto& sv : batch.work) {
-        SlotState& st = slots_[sv.slot];
-        if (sv.hasContention && sv.windowCopy.empty()) {
+        const SlotState& st = slots_[sv.slot];
+        if (sv.hasContention) {
             sv.windowCopy = st.window.toVector();
             if (st.mergedInit) {
                 sv.mergedCopy = st.merged;
                 sv.mergedValid = true;
             }
         }
-        if (sv.hasOscillation && sv.labels.empty())
+        if (sv.hasOscillation)
             sv.labels = st.quantumLabels;
     }
 }
@@ -725,14 +623,14 @@ AuditDaemon::analyzeBatch(AnalysisBatch& batch, bool from_snapshots)
                 view.reserve(sv.windowCopy.size());
                 for (const Histogram& h : sv.windowCopy)
                     view.push_back(&h);
-                if (!debugRecompute_ && !sv.windowCopy.empty())
+                if (!sv.windowCopy.empty())
                     premerged = &sv.mergedCopy;
             } else {
                 const SlotState& st = slots_[sv.slot];
                 view.reserve(st.window.size());
                 for (const Histogram& h : st.window)
                     view.push_back(&h);
-                if (!debugRecompute_ && st.mergedInit)
+                if (st.mergedInit)
                     premerged = &st.merged;
             }
             sv.contention = hunter.analyzeContention(view, premerged);
@@ -809,48 +707,9 @@ AuditDaemon::recordAnalysisLatency(double micros)
     ++stats_.analysesRun;
 }
 
-void
-AuditDaemon::analysisLoop()
-{
-    while (auto batch = queue_->pop()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-            const QuarantineReason reason =
-                validateBatch(*batch, /*from_snapshots=*/true);
-            if (reason != QuarantineReason::None) {
-                quarantineBatch(reason);
-            } else {
-                analyzeBatch(*batch, /*from_snapshots=*/true);
-                applyVerdicts(*batch);
-            }
-        } catch (const std::exception& e) {
-            warn("online analysis batch failed: ", e.what());
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        recordAnalysisLatency(
-            std::chrono::duration<double, std::micro>(t1 - t0)
-                .count());
-        {
-            std::lock_guard<std::mutex> lock(idleMutex_);
-            ++completed_;
-        }
-        idleCv_.notify_all();
-    }
-}
-
-void
-AuditDaemon::flushAnalyses() const
-{
-    if (!queue_)
-        return;
-    std::unique_lock<std::mutex> lock(idleMutex_);
-    idleCv_.wait(lock, [this] { return completed_ == submitted_; });
-}
-
 PipelineStats
 AuditDaemon::pipelineStats() const
 {
-    flushAnalyses();
     PipelineStats out;
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
@@ -859,11 +718,6 @@ AuditDaemon::pipelineStats() const
     for (const auto& st : slots_) {
         out.evictedQuanta += st.window.evictions();
         out.evictedConflicts += st.records.evictions();
-    }
-    if (queue_) {
-        out.batchesEnqueued = queue_->pushed();
-        out.batchesDropped = queue_->dropped();
-        out.queueDepthHighWater = queue_->highWaterMark();
     }
     return out;
 }
@@ -928,7 +782,6 @@ AuditDaemon::oscillationConfidence(unsigned slot) const
 DegradedStats
 AuditDaemon::degradedStats() const
 {
-    flushAnalyses();
     DegradedStats out;
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
@@ -954,14 +807,12 @@ AuditDaemon::degradedStats() const
 const std::vector<Alarm>&
 AuditDaemon::alarms() const
 {
-    flushAnalyses();
     return alarms_;
 }
 
 std::uint64_t
 AuditDaemon::firstAlarmQuantum(unsigned slot) const
 {
-    flushAnalyses();
     for (const auto& a : alarms_)
         if (a.slot == slot)
             return a.quantum;
@@ -1046,8 +897,7 @@ AuditDaemon::analyzeContention(unsigned slot, CCHunterParams params)
     for (const Histogram& h : st.window)
         view.push_back(&h);
     CCHunter hunter(params);
-    const Histogram* premerged =
-        !debugRecompute_ && st.mergedInit ? &st.merged : nullptr;
+    const Histogram* premerged = st.mergedInit ? &st.merged : nullptr;
     return hunter.analyzeContention(view, premerged);
 }
 
@@ -1055,24 +905,7 @@ OscillationVerdict
 AuditDaemon::analyzeOscillation(unsigned slot, CCHunterParams params)
     const
 {
-    const SlotState& st = slotState(slot);
-    const std::size_t lag = params.oscillation.maxLag;
-    // Serve from the incrementally maintained sums when they cover
-    // the request; the maintainer and the record ring ingest the same
-    // stream with the same capacity, so the size check only guards a
-    // maintainer created after records had already been dropped.
-    if (st.autocorr && !debugRecomputeAutocorr_ && lag >= 2 &&
-        lag <= st.autocorr->maxLag() &&
-        st.autocorr->size() == st.records.size()) {
-        OscillationVerdict verdict;
-        verdict.analysis.seriesLength = st.autocorr->size();
-        st.autocorr->correlogram(lag, verdict.analysis.correlogram);
-        decideOscillation(verdict.analysis, params.oscillation);
-        verdict.detected = verdict.analysis.oscillating;
-        return verdict;
-    }
-    CCHunter hunter(params);
-    return hunter.analyzeOscillation(labelSeries(slot));
+    return CCHunter(params).analyzeOscillation(labelSeries(slot));
 }
 
 } // namespace cchunter

@@ -15,28 +15,23 @@
  * counters.  The merged contention histogram and the per-quantum
  * label series are maintained incrementally (add-on-drain /
  * subtract-on-evict), so both daemon memory and per-quantum analysis
- * cost are flat in the total run length.  Online analyses can run
- * inline with the simulation loop or be handed to a dedicated
- * consumer thread through a bounded queue with backpressure (Block)
- * or lossy (DropOldest) overflow handling.
+ * cost are flat in the total run length.  Online analyses run inline
+ * at each quantum boundary, on the simulation thread, as the paper's
+ * daemon does once per OS quantum.
  */
 
 #ifndef CCHUNTER_AUDITOR_DAEMON_HH
 #define CCHUNTER_AUDITOR_DAEMON_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "auditor/cc_auditor.hh"
 #include "detect/detector.hh"
-#include "detect/incremental_autocorr.hh"
 #include "faults/fault_injector.hh"
 #include "sim/stats_report.hh"
-#include "util/bounded_queue.hh"
 #include "util/histogram.hh"
 #include "util/ring_buffer.hh"
 #include "util/thread_pool.hh"
@@ -92,48 +87,6 @@ struct OnlineAnalysisParams
      */
     std::size_t retentionQuanta = 0;
 
-    /**
-     * Run analyses on a dedicated consumer thread fed through a
-     * bounded hand-off queue instead of inline with the simulation
-     * loop.  The alarm stream is identical to the inline path as long
-     * as no batches are dropped.
-     */
-    bool asyncAnalysis = false;
-
-    /** Capacity of the hand-off queue (asyncAnalysis only). */
-    std::size_t queueCapacity = 8;
-
-    /** Full-queue behaviour: Block applies backpressure to the
-     *  simulation loop; DropOldest sheds the stalest batch and counts
-     *  the loss. */
-    OverflowPolicy queueOverflow = OverflowPolicy::Block;
-
-    /**
-     * Debug: recompute the merged contention histogram from the
-     * retained window on every analysis instead of using the
-     * incrementally maintained copy.  Pinned equal to the incremental
-     * path by tests.
-     */
-    bool debugRecomputeMerged = false;
-
-    /**
-     * Maintain per-slot sliding-window autocorrelation sums
-     * incrementally (update-on-append / downdate-on-evict) so the
-     * end-of-run analyzeOscillation() serves its correlogram in
-     * O(maxLag) instead of recomputing O(N log N) over the retained
-     * window.  Equal to the full recompute within 1e-9 and pinned to
-     * produce identical alarms/verdicts by tests.  Config key:
-     * `analysis.incrementalAutocorr`.
-     */
-    bool incrementalAutocorr = true;
-
-    /**
-     * Debug: ignore the incremental maintainer and recompute the
-     * full-window correlogram on every analyzeOscillation() (the
-     * legacy path; equivalence-test hook).
-     */
-    bool debugRecomputeAutocorr = false;
-
     /** Analysis parameters. */
     CCHunterParams hunter;
 };
@@ -145,9 +98,6 @@ struct PipelineStats
     std::uint64_t drainedConflicts = 0;  //!< conflict records drained
     std::uint64_t evictedQuanta = 0;     //!< histograms aged out
     std::uint64_t evictedConflicts = 0;  //!< conflict records aged out
-    std::uint64_t batchesEnqueued = 0;   //!< async batches handed off
-    std::uint64_t batchesDropped = 0;    //!< batches shed (DropOldest)
-    std::size_t queueDepthHighWater = 0; //!< deepest hand-off backlog
     std::uint64_t analysesRun = 0;       //!< analysis passes completed
     double latencyMinUs = 0.0;           //!< fastest analysis pass
     double latencyMaxUs = 0.0;           //!< slowest analysis pass
@@ -289,9 +239,6 @@ class AuditDaemon
     AuditDaemon(Machine& machine, CCAuditor& auditor,
                 DaemonRetention retention = {});
 
-    /** Stops the async analysis consumer, draining queued batches. */
-    ~AuditDaemon();
-
     AuditDaemon(const AuditDaemon&) = delete;
     AuditDaemon& operator=(const AuditDaemon&) = delete;
 
@@ -344,12 +291,11 @@ class AuditDaemon
     /** Conflict records aged out of a slot's window so far. */
     std::uint64_t evictedConflicts(unsigned slot) const;
 
-    /** Pipeline observability snapshot (flushes pending analyses). */
+    /** Pipeline observability snapshot. */
     PipelineStats pipelineStats() const;
 
     /**
-     * Degraded-operation snapshot (flushes pending analyses): the
-     * daemon's own fault ledger plus the sensor-side counters read off
+     * Degraded-operation snapshot: the daemon's own fault ledger plus the sensor-side counters read off
      * the auditor hardware (bin saturations, forced Bloom aliases,
      * merged-window underflow clamps).
      */
@@ -384,37 +330,19 @@ class AuditDaemon
      *  `slot`: window coverage times conflict-path integrity. */
     double oscillationConfidence(unsigned slot) const;
 
-    /** Wait until every queued analysis batch has been processed.
-     *  No-op in the inline (synchronous) mode. */
-    void flushAnalyses() const;
-
-    /**
-     * Debug: force merged-histogram recomputation (the legacy path)
-     * in subsequent analyses instead of the incremental copy.
-     */
-    void setDebugRecomputeMerged(bool recompute);
-
-    /**
-     * Debug: force full-window correlogram recomputation (the legacy
-     * path) in subsequent analyzeOscillation() calls instead of the
-     * incremental sliding-window sums.
-     */
-    void setDebugRecomputeAutocorr(bool recompute);
-
     /**
      * Switch on live analysis at the paper's cadence: recurrent-burst
      * clustering every clusteringIntervalQuanta, oscillation analysis
      * on each quantum's conflict labels.  The callback fires for every
-     * positive verdict (on the consumer thread when asyncAnalysis is
-     * set); raised alarms are also retained.  Adjusts the contention
+     * positive verdict, on the simulation thread at the quantum
+     * boundary that produced it; raised alarms are also retained.  Adjusts the contention
      * retention to params.retentionQuanta (or the clustering interval
      * when 0).
      */
     void enableOnlineAnalysis(OnlineAnalysisParams params,
                               AlarmCallback callback = {});
 
-    /** Alarms raised by online analysis so far (flushes pending
-     *  analyses first). */
+    /** Alarms raised by online analysis so far. */
     const std::vector<Alarm>& alarms() const;
 
     /** Quantum index of the first alarm on a slot (detection latency);
@@ -440,11 +368,6 @@ class AuditDaemon
          *  series materialisation). */
         std::vector<double> quantumLabels;
 
-        /** Sliding-window autocorrelation sums over the same span as
-         *  `records`, maintained per ingested label (online analysis
-         *  with incrementalAutocorr only). */
-        std::unique_ptr<IncrementalAutocorrelation> autocorr;
-
         // Conflict-path integrity accounting (sim thread only).
         std::uint64_t conflictsIngested = 0;
         std::uint64_t conflictsTruncated = 0;
@@ -455,15 +378,14 @@ class AuditDaemon
     struct SlotWork
     {
         unsigned slot = 0;
-        /** Unit kind captured at dispatch (sim thread) so alarms can
-         *  carry it without the consumer touching live auditor
-         *  state. */
+        /** Unit kind captured at dispatch so alarms can carry it
+         *  without the pool workers touching live auditor state. */
         MonitorTarget target = MonitorTarget::None;
         bool hasContention = false;
         bool hasOscillation = false;
-        // Owned snapshots, filled for the async hand-off (and for an
-        // inline batch about to be corrupted); the clean inline path
-        // analyses the live windows in place.
+        // Owned snapshots, filled only for a batch the fault injector
+        // is about to corrupt; a clean batch analyses the live
+        // windows in place.
         std::vector<Histogram> windowCopy;
         Histogram mergedCopy{1};
         bool mergedValid = false;
@@ -471,14 +393,14 @@ class AuditDaemon
         ContentionVerdict contention;
         OscillationVerdict oscillation;
 
-        // Degradation context captured at dispatch (sim thread) so the
-        // consumer can stamp confidences without touching live state.
+        // Degradation context captured at dispatch so the pool
+        // workers can stamp confidences without touching live state.
         double coverage = 1.0;
         double integrity = 1.0;
         double satFraction = 0.0; //!< filled by analyzeBatch
     };
 
-    /** One quantum's hand-off unit. */
+    /** One quantum's analysis pass. */
     struct AnalysisBatch
     {
         std::uint64_t quantum = 0;
@@ -500,7 +422,6 @@ class AuditDaemon
     void analyzeBatch(AnalysisBatch& batch, bool from_snapshots);
     void applyVerdicts(AnalysisBatch& batch);
     void recordAnalysisLatency(double micros);
-    void analysisLoop();
     void setContentionRetention(std::size_t quanta);
     const SlotState& slotState(unsigned slot) const;
 
@@ -516,26 +437,16 @@ class AuditDaemon
     std::uint64_t currentQuantum_ = 0;
     std::uint64_t quanta_ = 0;
     bool online_ = false;
-    bool debugRecompute_ = false;
-    bool debugRecomputeAutocorr_ = false;
     OnlineAnalysisParams onlineParams_;
     AlarmCallback alarmCallback_;
     std::vector<Alarm> alarms_;
     std::unique_ptr<ThreadPool> pool_;
 
     // Pipeline observability (drain-side counters live here; eviction
-    // counters are read off the rings; queue counters off the queue).
+    // counters are read off the rings).
     PipelineStats stats_;
     mutable std::mutex statsMutex_;
-
-    // Async hand-off machinery.
-    std::unique_ptr<BoundedQueue<AnalysisBatch>> queue_;
-    std::thread analysisThread_;
     mutable std::mutex alarmsMutex_;
-    mutable std::mutex idleMutex_;
-    mutable std::condition_variable idleCv_;
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
 };
 
 } // namespace cchunter

@@ -161,8 +161,8 @@ class CCHunter
      * already-maintained bin-wise sum of the window (the daemon keeps
      * it incrementally, add-on-drain / subtract-on-evict) and the
      * O(window) re-merge is skipped; passing nullptr recomputes the
-     * merged histogram from scratch (the legacy path, kept for
-     * equivalence checks).
+     * merged histogram from scratch (the reference the tests hold the
+     * daemon's maintained sum to).
      */
     ContentionVerdict analyzeContention(
         const std::vector<const Histogram*>& quanta,

@@ -18,9 +18,10 @@ putPipeline(ByteWriter& w, const PipelineStats& p)
     w.u64(p.drainedConflicts);
     w.u64(p.evictedQuanta);
     w.u64(p.evictedConflicts);
-    w.u64(p.batchesEnqueued);
-    w.u64(p.batchesDropped);
-    w.u64(p.queueDepthHighWater);
+    // Three retired hand-off queue counters; written as zeros so the
+    // v1 record layout is unchanged.
+    for (int i = 0; i < 3; ++i)
+        w.u64(0);
     w.u64(p.analysesRun);
     w.f64(p.latencyMinUs);
     w.f64(p.latencyMaxUs);
@@ -34,9 +35,8 @@ getPipeline(ByteReader& r, PipelineStats& p)
     p.drainedConflicts = r.u64();
     p.evictedQuanta = r.u64();
     p.evictedConflicts = r.u64();
-    p.batchesEnqueued = r.u64();
-    p.batchesDropped = r.u64();
-    p.queueDepthHighWater = static_cast<std::size_t>(r.u64());
+    for (int i = 0; i < 3; ++i)
+        r.u64(); // retired hand-off queue counters
     p.analysesRun = r.u64();
     p.latencyMinUs = r.f64();
     p.latencyMaxUs = r.f64();
@@ -434,7 +434,7 @@ registryFingerprint(const TenantRegistry& registry)
            << tenant.audit.online.analysisThreads << '\x1f'
            << tenant.audit.online.retentionQuanta << '\x1f'
            << tenant.audit.online.autocorrEveryQuantum << '\x1f'
-           << tenant.audit.online.asyncAnalysis << '\x1f'
+           << 0 << '\x1f' // was asyncAnalysis: old checkpoints resume
            << scenarioConfig(tenant.audit.scenario).dump();
         hash = fnv1a64(os.str(), hash);
     }

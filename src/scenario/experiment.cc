@@ -329,11 +329,6 @@ runOnlineAudit(const OnlineAuditOptions& options, ScenarioTrace* trace)
         online.clusteringIntervalQuanta > opts.quanta)
         online.clusteringIntervalQuanta = opts.quanta;
     online.hunter = opts.thresholds.apply(online.hunter);
-    // Detection-triggered response needs the alarm stream current at
-    // each boundary: force the synchronous analysis path so the
-    // engagement quantum is deterministic.
-    if (options.autoRespond.enabled)
-        online.asyncAnalysis = false;
     daemon.enableOnlineAnalysis(online);
 
     OnlineAuditResult result;

@@ -2,12 +2,12 @@
  * @file
  * A bounded multi-producer/consumer hand-off queue.
  *
- * Decouples the simulation loop from the analysis engine: the daemon
- * enqueues per-quantum analysis batches and a consumer thread drains
- * them.  When the queue is full the producer either blocks
- * (backpressure: the simulation waits for the analyses to catch up) or
- * drops the *oldest* queued item, counting the loss, so the freshest
- * observations always get through.
+ * Decouples producers from a consumer thread: each fleet shard pushes
+ * its tenants' alarm batches and that shard's collector drains them.
+ * When the queue is full the producer either blocks (backpressure: the
+ * shard waits for the collector to catch up) or drops the *oldest*
+ * queued item, counting the loss, so the freshest observations always
+ * get through.
  */
 
 #ifndef CCHUNTER_UTIL_BOUNDED_QUEUE_HH

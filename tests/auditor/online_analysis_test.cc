@@ -174,19 +174,6 @@ dividerAlarms(std::size_t analysis_threads)
     return runDividerOutcome(params).alarms;
 }
 
-void
-expectSameAlarms(const std::vector<Alarm>& actual,
-                 const std::vector<Alarm>& expected)
-{
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(actual[i].slot, expected[i].slot);
-        EXPECT_EQ(actual[i].when, expected[i].when);
-        EXPECT_EQ(actual[i].quantum, expected[i].quantum);
-        EXPECT_EQ(actual[i].summary, expected[i].summary);
-    }
-}
-
 TEST(OnlineAnalysisTest, ParallelFanOutMatchesSerialAlarms)
 {
     // The fan-out across monitored units must leave the alarm stream
@@ -203,58 +190,72 @@ TEST(OnlineAnalysisTest, ParallelFanOutMatchesSerialAlarms)
     }
 }
 
+/** Check a daemon verdict against the from-scratch recompute. */
+void
+expectSameVerdict(const ContentionVerdict& actual,
+                  const ContentionVerdict& expected)
+{
+    EXPECT_EQ(actual.summary(), expected.summary());
+    EXPECT_EQ(actual.detected, expected.detected);
+    EXPECT_DOUBLE_EQ(actual.combined.likelihoodRatio,
+                     expected.combined.likelihoodRatio);
+}
+
+/** The reference verdict: re-merge the retained window from scratch
+ *  instead of using the daemon's incrementally maintained sum. */
+ContentionVerdict
+recomputedVerdict(const AuditDaemon& daemon, unsigned slot,
+                  const CCHunterParams& params)
+{
+    std::vector<const Histogram*> view;
+    for (const Histogram& h : daemon.contentionWindow(slot))
+        view.push_back(&h);
+    return CCHunter(params).analyzeContention(view, nullptr);
+}
+
 TEST(OnlineAnalysisTest, StreamingMatchesLegacyRecomputeAlarms)
 {
     // The incrementally maintained merged histogram must be
-    // indistinguishable from recomputing it off the retained window
-    // each pass: identical alarms, identical summaries.
+    // indistinguishable from recomputing it off the retained window:
+    // at every clustering boundary, the verdict the daemon serves
+    // equals the from-scratch one on both monitored slots.
+    Machine m(smallMachine());
+    Rng rng(1);
+    DividerTrojanParams tp;
+    tp.timing = fastTiming();
+    tp.message = Message::random64(rng);
+    m.addProcess(std::make_unique<DividerTrojan>(tp), 0);
+    DividerSpyParams sp;
+    sp.timing = fastTiming();
+    m.addProcess(std::make_unique<DividerSpy>(sp), 1);
+    m.addProcess(makeBenchmark("mcf", 5));
+
+    CCAuditor auditor(m);
+    const AuditKey key = requestAuditKey(true);
+    auditor.monitorDivider(key, 0, 0);
+    auditor.monitorBus(key, 1);
+    AuditDaemon daemon(m, auditor);
+
     OnlineAnalysisParams params;
     params.clusteringIntervalQuanta = 4;
-    const auto streaming = runDividerOutcome(params);
+    daemon.enableOnlineAnalysis(params);
 
-    params.debugRecomputeMerged = true;
-    const auto legacy = runDividerOutcome(params);
+    // Registered after the daemon's observer, so it sees each
+    // boundary's drained window.
+    std::size_t boundaries = 0;
+    m.scheduler().addQuantumObserver([&](std::uint64_t q, Tick) {
+        if ((q + 1) % params.clusteringIntervalQuanta != 0)
+            return;
+        ++boundaries;
+        for (const unsigned slot : {0u, 1u})
+            expectSameVerdict(
+                daemon.analyzeContention(slot, params.hunter),
+                recomputedVerdict(daemon, slot, params.hunter));
+    });
+    m.runQuanta(8);
 
-    ASSERT_FALSE(streaming.alarms.empty());
-    expectSameAlarms(streaming.alarms, legacy.alarms);
-}
-
-TEST(OnlineAnalysisTest, AsyncBlockMatchesInlineAlarms)
-{
-    // With backpressure (no drops) the consumer-thread path must
-    // produce the exact inline alarm stream.
-    OnlineAnalysisParams params;
-    params.clusteringIntervalQuanta = 4;
-    const auto inline_run = runDividerOutcome(params);
-
-    params.asyncAnalysis = true;
-    params.queueCapacity = 2;
-    params.queueOverflow = OverflowPolicy::Block;
-    const auto async_run = runDividerOutcome(params);
-
-    ASSERT_FALSE(inline_run.alarms.empty());
-    expectSameAlarms(async_run.alarms, inline_run.alarms);
-    // Contention-only slots batch once per clustering interval: 8
-    // quanta at interval 4 is two hand-offs, none dropped.
-    EXPECT_EQ(async_run.pipeline.batchesDropped, 0u);
-    EXPECT_EQ(async_run.pipeline.batchesEnqueued, 2u);
-    EXPECT_GE(async_run.pipeline.queueDepthHighWater, 1u);
-}
-
-TEST(OnlineAnalysisTest, AsyncAccountsForEveryBatch)
-{
-    // Whatever the overflow policy sheds, the books must balance:
-    // every enqueued batch is either analysed or counted as dropped.
-    OnlineAnalysisParams params;
-    params.clusteringIntervalQuanta = 4;
-    params.asyncAnalysis = true;
-    params.queueCapacity = 1;
-    params.queueOverflow = OverflowPolicy::DropOldest;
-    const auto outcome = runDividerOutcome(params);
-
-    EXPECT_EQ(outcome.pipeline.analysesRun +
-                  outcome.pipeline.batchesDropped,
-              outcome.pipeline.batchesEnqueued);
+    EXPECT_EQ(boundaries, 2u);
+    ASSERT_FALSE(daemon.alarms().empty());
 }
 
 TEST(OnlineAnalysisTest, PipelineStatsCountDrains)
@@ -289,8 +290,7 @@ TEST(OnlineAnalysisTest, LongRunKeepsWindowsAndCostBounded)
 {
     // Run 4x the retention window: the daemon must hold exactly
     // `retention` quanta per slot, count the rest as evicted, and the
-    // incremental analysis must keep matching the recompute path at
-    // every probe.
+    // incremental analysis must still match a from-scratch recompute.
     DaemonRetention retention;
     retention.contentionQuanta = 8;
     constexpr std::size_t kQuanta = 32;
@@ -319,13 +319,8 @@ TEST(OnlineAnalysisTest, LongRunKeepsWindowsAndCostBounded)
 
     // Incremental merged state equals a from-scratch recompute even
     // after 24 evict/unmerge cycles.
-    const ContentionVerdict incremental = daemon.analyzeContention(0);
-    daemon.setDebugRecomputeMerged(true);
-    const ContentionVerdict recomputed = daemon.analyzeContention(0);
-    EXPECT_EQ(incremental.summary(), recomputed.summary());
-    EXPECT_EQ(incremental.detected, recomputed.detected);
-    EXPECT_DOUBLE_EQ(incremental.combined.likelihoodRatio,
-                     recomputed.combined.likelihoodRatio);
+    expectSameVerdict(daemon.analyzeContention(0),
+                      recomputedVerdict(daemon, 0, CCHunterParams{}));
 }
 
 TEST(OnlineAnalysisTest, ConflictWindowStaysBounded)

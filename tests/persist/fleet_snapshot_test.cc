@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "persist/codec.hh"
 #include "persist/fleet_snapshot.hh"
 #include "persist/snapshot_file.hh"
 
@@ -51,9 +52,6 @@ makeBatch(TenantId tenant)
     batch.pipeline.drainedConflicts = 12;
     batch.pipeline.evictedQuanta = 1;
     batch.pipeline.evictedConflicts = 2;
-    batch.pipeline.batchesEnqueued = 16;
-    batch.pipeline.batchesDropped = 1;
-    batch.pipeline.queueDepthHighWater = 4;
     batch.pipeline.analysesRun = 15;
     batch.pipeline.latencyMinUs = 1.5;
     batch.pipeline.latencyMaxUs = 99.25;
@@ -335,6 +333,108 @@ TEST(FleetSnapshotTest, RegistryFingerprintIsStableAndSensitive)
     otherCadence.clusteringIntervalQuanta = 2;
     EXPECT_NE(a, registryFingerprint(
                      TenantRegistry::synthetic(otherCadence)));
+}
+
+TEST(FleetSnapshotTest, DefaultSyntheticFleetFingerprintIsPinned)
+{
+    // Checkpoints carry this value and a resume refuses a mismatch, so
+    // it may only move with a deliberate registry-format change.
+    EXPECT_EQ(registryFingerprint(
+                  TenantRegistry::synthetic(SyntheticFleetOptions{})),
+              0x7415dc01ec353c30ull);
+}
+
+namespace
+{
+
+/**
+ * A tenant-batch record in the v1 layout, built field by field: the
+ * pipeline block still carries three retired hand-off queue counters
+ * (enqueued, dropped, depth high-water) between the eviction counters
+ * and the analysis count.
+ */
+std::vector<std::uint8_t>
+handBuiltTenantBatch(std::uint64_t enqueued, std::uint64_t dropped,
+                     std::uint64_t queueHighWater)
+{
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(RecordKind::TenantBatch));
+    w.u32(42);  // tenant
+    w.u64(1);   // shard
+    w.u64(64);  // quantaRecorded
+    w.u64(2);   // offlineDetectedUnits
+    w.u64(64);  // pipeline: drainedHistograms
+    w.u64(12);  // drainedConflicts
+    w.u64(1);   // evictedQuanta
+    w.u64(2);   // evictedConflicts
+    w.u64(enqueued);
+    w.u64(dropped);
+    w.u64(queueHighWater);
+    w.u64(15);  // analysesRun
+    w.f64(1.5); // latencyMinUs
+    w.f64(99.25);
+    w.f64(480.0);
+    for (std::uint64_t v = 1; v <= 15; ++v)
+        w.u64(v); // degraded: missedQuanta .. degradedAlarms
+    w.f64(0.5);      // minAlarmConfidence
+    w.f64(0.953125); // windowCoverage
+    w.u64(1);        // one alarm
+    w.u32(3);
+    w.u64(9000);
+    w.u64(9);
+    w.str("slot 3 periodic");
+    w.f64(0.875);
+    w.u8(static_cast<std::uint8_t>(MonitorTarget::L2Cache));
+    w.u8(static_cast<std::uint8_t>(AlarmKind::Oscillation));
+    w.u64(7);
+    return w.take();
+}
+
+} // namespace
+
+TEST(FleetSnapshotTest, RetiredQueueCountersStillDecode)
+{
+    TenantAlarmBatch out;
+    ASSERT_TRUE(decodeTenantBatch(handBuiltTenantBatch(16, 1, 4), out));
+
+    EXPECT_EQ(out.tenant, 42u);
+    EXPECT_EQ(out.shard, 1u);
+    EXPECT_EQ(out.quantaRecorded, 64u);
+    EXPECT_EQ(out.offlineDetectedUnits, 2u);
+    EXPECT_EQ(out.pipeline.drainedHistograms, 64u);
+    EXPECT_EQ(out.pipeline.drainedConflicts, 12u);
+    EXPECT_EQ(out.pipeline.evictedQuanta, 1u);
+    EXPECT_EQ(out.pipeline.evictedConflicts, 2u);
+    EXPECT_EQ(out.pipeline.analysesRun, 15u);
+    EXPECT_EQ(out.pipeline.latencyMinUs, 1.5);
+    EXPECT_EQ(out.pipeline.latencyMaxUs, 99.25);
+    EXPECT_EQ(out.pipeline.latencyTotalUs, 480.0);
+    const DegradedStats& d = out.degraded;
+    const std::uint64_t counters[] = {
+        d.missedQuanta,          d.duplicatedQuanta,
+        d.truncatedBatches,      d.truncatedEvents,
+        d.reorderedBatches,      d.corruptedContexts,
+        d.bloomAliases,          d.saturatedBinEvents,
+        d.accumulatorSaturations, d.unmergeUnderflows,
+        d.quarantinedBatches,    d.quarantineBadLabel,
+        d.quarantineBinMismatch, d.quarantineSlotRange,
+        d.degradedAlarms};
+    for (std::size_t i = 0; i < 15; ++i)
+        EXPECT_EQ(counters[i], i + 1) << "degraded counter " << i;
+    EXPECT_EQ(d.minAlarmConfidence, 0.5);
+    EXPECT_EQ(d.windowCoverage, 0.953125);
+    ASSERT_EQ(out.alarms.size(), 1u);
+    EXPECT_EQ(out.alarms[0].slot, 3u);
+    EXPECT_EQ(out.alarms[0].when, 9000u);
+    EXPECT_EQ(out.alarms[0].quantum, 9u);
+    EXPECT_EQ(out.alarms[0].summary, "slot 3 periodic");
+    EXPECT_EQ(out.alarms[0].confidence, 0.875);
+    EXPECT_EQ(out.alarms[0].unit, MonitorTarget::L2Cache);
+    EXPECT_EQ(out.alarms[0].kind, AlarmKind::Oscillation);
+    EXPECT_EQ(out.alarms[0].dominantFeature, 7u);
+
+    // Re-encoding keeps the layout and writes the slots as zeros.
+    EXPECT_EQ(encodeTenantBatch(out), handBuiltTenantBatch(0, 0, 0));
 }
 
 TEST(FleetSnapshotTest, GoldenV1HeaderBytesArePinned)
