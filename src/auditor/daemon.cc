@@ -447,8 +447,7 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
         sv.target = auditor_.slotTarget(s);
         sv.hasContention =
             auditor_.histogramBuffer(s) != nullptr && clusteringDue;
-        sv.hasOscillation = auditor_.vectorRegisters(s) != nullptr &&
-                            onlineParams_.autocorrEveryQuantum;
+        sv.hasOscillation = auditor_.vectorRegisters(s) != nullptr;
         if (!sv.hasContention && !sv.hasOscillation)
             continue;
         // Degradation context travels with the work so the pool

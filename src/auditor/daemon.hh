@@ -69,9 +69,6 @@ struct OnlineAnalysisParams
      *  51.2 s at a 0.1 s quantum). */
     std::size_t clusteringIntervalQuanta = 512;
 
-    /** Autocorrelation runs at the end of every OS time quantum. */
-    bool autocorrEveryQuantum = true;
-
     /**
      * Worker threads for the per-quantum analysis fan-out.  1 keeps
      * the serial path; larger values analyse the monitored units

@@ -76,7 +76,7 @@ BusTrojan::nextAction(const ExecView& view)
 }
 
 BusSpy::BusSpy(BusSpyParams params)
-    : params_(std::move(params))
+    : params_(std::move(params)), sampler_(params_.sampleAccesses)
 {
     if (params_.sampleAccesses == 0)
         fatal("BusSpy: sampleAccesses must be positive");
@@ -84,96 +84,37 @@ BusSpy::BusSpy(BusSpyParams params)
         fatal("BusSpy: region too small");
 }
 
-Message
-BusSpy::decoded() const
+bool
+BusSpy::decide(double slotMean)
 {
-    std::vector<bool> bits;
-    bits.reserve(decodedSlots_.size());
-    for (const auto& [slot, value] : decodedSlots_)
-        bits.push_back(value);
-    return Message::fromBits(std::move(bits));
-}
-
-double
-BusSpy::currentThreshold() const
-{
-    if (params_.adaptiveDecode && haveSlotMeans_ &&
-        maxSlotMean_ > 1.3 * minSlotMean_) {
-        return 0.5 * (minSlotMean_ + maxSlotMean_);
-    }
-    return static_cast<double>(params_.decodeThreshold);
-}
-
-void
-BusSpy::finishSlot()
-{
-    if (slotCount_ == 0)
-        return;
-    const double mean = slotSum_ / static_cast<double>(slotCount_);
     if (!haveSlotMeans_) {
-        minSlotMean_ = maxSlotMean_ = mean;
+        minSlotMean_ = maxSlotMean_ = slotMean;
         haveSlotMeans_ = true;
     } else {
-        minSlotMean_ = std::min(minSlotMean_, mean);
-        maxSlotMean_ = std::max(maxSlotMean_, mean);
+        minSlotMean_ = std::min(minSlotMean_, slotMean);
+        maxSlotMean_ = std::max(maxSlotMean_, slotMean);
     }
-    slotMeans_.emplace_back(currentSlot_, mean);
-    decodedSlots_.emplace_back(currentSlot_, mean > currentThreshold());
-    slotSum_ = 0.0;
-    slotCount_ = 0;
+    const double threshold =
+        maxSlotMean_ > 1.3 * minSlotMean_
+            ? 0.5 * (minSlotMean_ + maxSlotMean_)
+            : static_cast<double>(params_.decodeThreshold);
+    return slotMean > threshold;
 }
 
 Action
 BusSpy::nextAction(const ExecView& view)
 {
-    const Tick now = view.now;
-    const ChannelTiming& t = params_.timing;
-
-    if (pendingMeasure_) {
-        pendingMeasure_ = false;
-        const double lat = static_cast<double>(view.lastLatency);
-        sampleSum_ += lat;
-        slotSum_ += lat;
-        ++slotCount_;
-        if (++sampleCount_ >= params_.sampleAccesses) {
-            samples_.push_back(sampleSum_ /
-                               static_cast<double>(sampleCount_));
-            sampleSum_ = 0.0;
-            sampleCount_ = 0;
-        }
-    }
-
-    if (done_)
-        return Action::halt();
-    if (now < t.start)
-        return Action::sleepUntil(t.start);
-
-    const std::size_t slot = t.bitIndexAt(now);
-    if (slot != currentSlot_) {
-        finishSlot();
-        currentSlot_ = slot;
-        if (params_.maxBits != 0 &&
-            decodedSlots_.size() >= params_.maxBits) {
-            done_ = true;
-            return Action::halt();
-        }
-    }
-
-    // Sample only inside the signal window: low-bandwidth channels lie
-    // dormant for most of each bit slot and so does the receiver.
-    if (now >= t.signalEnd(slot)) {
-        finishSlot();
-        return Action::sleepUntil(t.bitStart(slot + 1));
-    }
-    if (now < t.signalStart(slot))
-        return Action::sleepUntil(t.signalStart(slot));
+    sampler_.observe(view);
+    if (auto sleep = sampler_.sleepOutsideWindow(
+            view.now, params_.timing,
+            [this](double mean) { return decide(mean); }))
+        return *sleep;
 
     // Stream through the private region to force L2 misses.
     const std::size_t lines = params_.regionBytes / 64;
     const Addr addr = params_.addrBase + (addrCursor_ % lines) * 64;
     ++addrCursor_;
-    pendingMeasure_ = true;
-    return Action::read(addr);
+    return sampler_.timed(Action::read(addr));
 }
 
 } // namespace cchunter

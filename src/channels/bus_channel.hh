@@ -17,6 +17,7 @@
 
 #include "channels/channel_spy.hh"
 #include "channels/message.hh"
+#include "channels/slot_sampler.hh"
 #include "channels/timing.hh"
 #include "sim/workload.hh"
 #include "util/rng.hh"
@@ -80,21 +81,19 @@ struct BusSpyParams
 {
     ChannelTiming timing;       //!< must match the trojan's timing
     std::size_t sampleAccesses = 32; //!< misses averaged per sample
-    Cycles decodeThreshold = 450;    //!< fallback mean separating 0 / 1
-    /**
-     * Self-calibrating decode: once the observed slot means span a
-     * sufficient range, the threshold becomes their midpoint (real
-     * spies calibrate against the live baseline, which shifts with
-     * background load).
-     */
-    bool adaptiveDecode = true;
+    /** Fallback mean separating 0 / 1 until the decode calibrates
+     *  itself (see BusSpy). */
+    Cycles decodeThreshold = 450;
     Addr addrBase = 0x20000000;      //!< spy-private streaming region
     std::size_t regionBytes = 8 * 1024 * 1024;
-    std::size_t maxBits = 0;  //!< stop after N bits (0 = run forever)
 };
 
 /**
  * The receiving side: times memory accesses to sense bus contention.
+ * The decode self-calibrates: once the observed slot means span a
+ * sufficient range, the threshold becomes their midpoint (real spies
+ * calibrate against the live baseline, which shifts with background
+ * load).
  */
 class BusSpy : public Workload, public ChannelSpy
 {
@@ -107,46 +106,30 @@ class BusSpy : public Workload, public ChannelSpy
     /** Average-latency samples (the series of paper figure 2). */
     const std::vector<double>& samples() const override
     {
-        return samples_;
+        return sampler_.samples();
     }
 
-    /** Bits decoded so far. */
-    Message decoded() const override;
-
-    /** (bit-slot index, decoded value) pairs, in decode order. */
     const std::vector<std::pair<std::size_t, bool>>& decodedSlots()
         const override
     {
-        return decodedSlots_;
+        return sampler_.decodedSlots();
     }
 
-    /** (bit-slot index, mean observed latency) pairs, per decoded
-     *  slot. */
     const std::vector<std::pair<std::size_t, double>>& slotMeans()
         const override
     {
-        return slotMeans_;
+        return sampler_.slotMeans();
     }
 
   private:
-    void finishSlot();
-    double currentThreshold() const;
+    bool decide(double slotMean);
 
     BusSpyParams params_;
-    std::vector<double> samples_;
-    std::vector<std::pair<std::size_t, bool>> decodedSlots_;
-    std::vector<std::pair<std::size_t, double>> slotMeans_;
+    SlotSampler sampler_;
+    bool haveSlotMeans_ = false;
     double minSlotMean_ = 0.0;
     double maxSlotMean_ = 0.0;
-    bool haveSlotMeans_ = false;
-    bool pendingMeasure_ = false;
-    double sampleSum_ = 0.0;
-    std::size_t sampleCount_ = 0;
-    double slotSum_ = 0.0;
-    std::size_t slotCount_ = 0;
-    std::size_t currentSlot_ = 0;
     std::uint64_t addrCursor_ = 0;
-    bool done_ = false;
 };
 
 } // namespace cchunter

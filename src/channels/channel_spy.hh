@@ -31,7 +31,15 @@ class ChannelSpy
     virtual ~ChannelSpy() = default;
 
     /** Bits decoded so far (wire bits, pre-protocol). */
-    virtual Message decoded() const = 0;
+    Message
+    decoded() const
+    {
+        std::vector<bool> bits;
+        bits.reserve(decodedSlots().size());
+        for (const auto& [slot, value] : decodedSlots())
+            bits.push_back(value);
+        return Message::fromBits(std::move(bits));
+    }
 
     /** (bit-slot index, decoded value) pairs, in decode order. */
     virtual const std::vector<std::pair<std::size_t, bool>>&

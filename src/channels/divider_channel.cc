@@ -41,7 +41,8 @@ DividerTrojan::nextAction(const ExecView& view)
 }
 
 DividerSpy::DividerSpy(DividerSpyParams params)
-    : params_(std::move(params)), rng_(params_.seed)
+    : params_(std::move(params)), rng_(params_.seed),
+      sampler_(params_.iterationsPerSample)
 {
     if (params_.opsPerIteration == 0)
         fatal("DividerSpy: opsPerIteration must be positive");
@@ -49,73 +50,15 @@ DividerSpy::DividerSpy(DividerSpyParams params)
         fatal("DividerSpy: iterationsPerSample must be positive");
 }
 
-Message
-DividerSpy::decoded() const
-{
-    std::vector<bool> bits;
-    bits.reserve(decodedSlots_.size());
-    for (const auto& [slot, value] : decodedSlots_)
-        bits.push_back(value);
-    return Message::fromBits(std::move(bits));
-}
-
-void
-DividerSpy::finishSlot()
-{
-    if (slotCount_ == 0)
-        return;
-    const double mean = slotSum_ / static_cast<double>(slotCount_);
-    slotMeans_.emplace_back(currentSlot_, mean);
-    decodedSlots_.emplace_back(
-        currentSlot_,
-        mean > static_cast<double>(params_.decodeThreshold));
-    slotSum_ = 0.0;
-    slotCount_ = 0;
-}
-
 Action
 DividerSpy::nextAction(const ExecView& view)
 {
-    const Tick now = view.now;
-    const ChannelTiming& t = params_.timing;
-
-    if (pendingMeasure_) {
-        pendingMeasure_ = false;
-        const double lat = static_cast<double>(view.lastLatency);
-        sampleSum_ += lat;
-        slotSum_ += lat;
-        ++slotCount_;
-        if (++sampleCount_ >= params_.iterationsPerSample) {
-            samples_.push_back(sampleSum_ /
-                               static_cast<double>(sampleCount_));
-            sampleSum_ = 0.0;
-            sampleCount_ = 0;
-        }
-    }
-
-    if (done_)
-        return Action::halt();
-    if (now < t.start)
-        return Action::sleepUntil(t.start);
-
-    const std::size_t slot = t.bitIndexAt(now);
-    if (slot != currentSlot_) {
-        finishSlot();
-        currentSlot_ = slot;
-        if (params_.maxBits != 0 &&
-            decodedSlots_.size() >= params_.maxBits) {
-            done_ = true;
-            return Action::halt();
-        }
-    }
-
-    // Sample only inside the signal window (see BusSpy).
-    if (now >= t.signalEnd(slot)) {
-        finishSlot();
-        return Action::sleepUntil(t.bitStart(slot + 1));
-    }
-    if (now < t.signalStart(slot))
-        return Action::sleepUntil(t.signalStart(slot));
+    sampler_.observe(view);
+    const double threshold = static_cast<double>(params_.decodeThreshold);
+    if (auto sleep = sampler_.sleepOutsideWindow(
+            view.now, params_.timing,
+            [threshold](double mean) { return mean > threshold; }))
+        return *sleep;
 
     // Loop overhead between timed iterations.
     if (params_.gapMax > 0 && !gapPending_) {
@@ -124,10 +67,10 @@ DividerSpy::nextAction(const ExecView& view)
             1 + rng_.nextBelow(params_.gapMax)));
     }
     gapPending_ = false;
-    pendingMeasure_ = true;
-    return params_.useMultiplier
-               ? Action::multiplyBatch(params_.opsPerIteration)
-               : Action::divideBatch(params_.opsPerIteration);
+    return sampler_.timed(
+        params_.useMultiplier
+            ? Action::multiplyBatch(params_.opsPerIteration)
+            : Action::divideBatch(params_.opsPerIteration));
 }
 
 } // namespace cchunter

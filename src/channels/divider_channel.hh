@@ -17,6 +17,7 @@
 
 #include "channels/channel_spy.hh"
 #include "channels/message.hh"
+#include "channels/slot_sampler.hh"
 #include "channels/timing.hh"
 #include "sim/workload.hh"
 #include "util/types.hh"
@@ -63,7 +64,6 @@ struct DividerSpyParams
     bool useMultiplier = false;
     std::size_t iterationsPerSample = 16;
     Cycles decodeThreshold = 150; //!< mean iteration cycles for 0 vs 1
-    std::size_t maxBits = 0;      //!< stop after N bits (0 = forever)
     /** Loop-overhead jitter range in cycles between iterations
      *  (models the timing loop's branch/counter overhead, spreading
      *  the contention-density burst over several histogram bins). */
@@ -85,42 +85,26 @@ class DividerSpy : public Workload, public ChannelSpy
     /** Average loop-latency samples (the series of paper figure 3). */
     const std::vector<double>& samples() const override
     {
-        return samples_;
+        return sampler_.samples();
     }
 
-    Message decoded() const override;
-
-    /** (bit-slot index, decoded value) pairs, in decode order. */
     const std::vector<std::pair<std::size_t, bool>>& decodedSlots()
         const override
     {
-        return decodedSlots_;
+        return sampler_.decodedSlots();
     }
 
-    /** (bit-slot index, mean observed latency) pairs, per decoded
-     *  slot. */
     const std::vector<std::pair<std::size_t, double>>& slotMeans()
         const override
     {
-        return slotMeans_;
+        return sampler_.slotMeans();
     }
 
   private:
-    void finishSlot();
-
     DividerSpyParams params_;
     Rng rng_;
+    SlotSampler sampler_;
     bool gapPending_ = false;
-    std::vector<double> samples_;
-    std::vector<std::pair<std::size_t, bool>> decodedSlots_;
-    std::vector<std::pair<std::size_t, double>> slotMeans_;
-    bool pendingMeasure_ = false;
-    double sampleSum_ = 0.0;
-    std::size_t sampleCount_ = 0;
-    double slotSum_ = 0.0;
-    std::size_t slotCount_ = 0;
-    std::size_t currentSlot_ = 0;
-    bool done_ = false;
 };
 
 } // namespace cchunter

@@ -433,7 +433,7 @@ registryFingerprint(const TenantRegistry& registry)
            << tenant.audit.online.clusteringIntervalQuanta << '\x1f'
            << tenant.audit.online.analysisThreads << '\x1f'
            << tenant.audit.online.retentionQuanta << '\x1f'
-           << tenant.audit.online.autocorrEveryQuantum << '\x1f'
+           << 1 << '\x1f' // was autocorrEveryQuantum
            << 0 << '\x1f' // was asyncAnalysis: old checkpoints resume
            << scenarioConfig(tenant.audit.scenario).dump();
         hash = fnv1a64(os.str(), hash);

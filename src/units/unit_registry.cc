@@ -4,9 +4,8 @@
 #include <string>
 
 #include "channels/bus_channel.hh"
-#include "channels/cache_channel.hh"
 #include "channels/divider_channel.hh"
-#include "channels/tlb_channel.hh"
+#include "channels/prime_probe.hh"
 #include "uarch/divider.hh"
 #include "uarch/multiplier.hh"
 #include "util/logging.hh"
@@ -34,6 +33,31 @@ recordWaitTrain(SmtExecUnit& unit, Tick limit, std::vector<Tick>& events)
             events.push_back(t);
         }
     });
+}
+
+/** Pin a prime+probe trojan (context 0) and spy (context 1) over
+ *  `layout`; the workloads are named "<unit>-trojan"/"<unit>-spy". */
+void
+addPrimeProbePair(Machine& machine, const UnitRunContext& ctx,
+                  const PrimeProbeLayout& layout, const std::string& unit,
+                  std::size_t noiseEvery, Tick dormantNoiseGap)
+{
+    PrimeProbeTrojanParams tp;
+    tp.timing = ctx.timing;
+    tp.message = ctx.message;
+    tp.layout = layout;
+    tp.roundsPerBit = ctx.roundsPerBit;
+    machine.addProcess(
+        std::make_unique<PrimeProbeTrojan>(tp, unit + "-trojan"), 0);
+    PrimeProbeSpyParams sp;
+    sp.timing = ctx.timing;
+    sp.layout = layout;
+    sp.noiseEvery = noiseEvery;
+    sp.dormantNoiseGap = dormantNoiseGap;
+    sp.roundsPerBit = ctx.roundsPerBit;
+    sp.seed = ctx.seed + 7;
+    machine.addProcess(
+        std::make_unique<PrimeProbeSpy>(sp, unit + "-spy"), 1);
 }
 
 UnitDescriptor
@@ -175,26 +199,18 @@ makeCacheUnit()
         mp.mem.l2 = CacheGeometry{256 * 1024, 1, 64};
     };
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
-        CacheChannelLayout layout;
         const CacheGeometry& l2 = machine.mem().l2(0).geometry();
-        layout.l2NumSets = l2.numSets();
-        layout.lineSize = l2.lineSize;
-        layout.channelSets = ctx.channelSets;
-        layout.linesPerSet = ctx.linesPerSet;
-        CacheTrojanParams tp;
-        tp.timing = ctx.timing;
-        tp.message = ctx.message;
-        tp.layout = layout;
-        tp.roundsPerBit = ctx.roundsPerBit;
-        machine.addProcess(std::make_unique<CacheTrojan>(tp), 0);
-        CacheSpyParams sp;
-        sp.timing = ctx.timing;
-        sp.layout = layout;
-        sp.noiseEvery = ctx.cacheNoiseEvery;
-        sp.dormantNoiseGap = ctx.cacheDormantNoiseGap;
-        sp.roundsPerBit = ctx.roundsPerBit;
-        sp.seed = ctx.seed + 7;
-        machine.addProcess(std::make_unique<CacheSpy>(sp), 1);
+        const PrimeProbeLayout layout{
+            .numSets = l2.numSets(),
+            .setStride = l2.lineSize,
+            .slotStride = 0,
+            .channelSets = ctx.channelSets,
+            .firstSet = 0,
+            .primeDepth = ctx.linesPerSet,
+            .probeDepth = ctx.linesPerSet,
+        };
+        addPrimeProbePair(machine, ctx, layout, "cache",
+                          ctx.cacheNoiseEvery, ctx.cacheDormantNoiseGap);
     };
     d.program = [](CCAuditor& auditor, const AuditKey& key,
                    unsigned slot, const UnitRunContext& ctx) {
@@ -235,23 +251,16 @@ makeTlbUnit()
     d.configureBenignMachine = enableTlb;
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
         const Tlb& tlb = machine.mem().tlb(0);
-        TlbChannelLayout layout;
-        layout.tlbNumSets = tlb.numSets();
-        layout.tlbWays = tlb.params().associativity;
-        layout.pageBytes = tlb.params().pageBytes;
-        layout.channelSets = ctx.tlbChannelSets;
-        TlbTrojanParams tp;
-        tp.timing = ctx.timing;
-        tp.message = ctx.message;
-        tp.layout = layout;
-        tp.roundsPerBit = ctx.roundsPerBit;
-        machine.addProcess(std::make_unique<TlbTrojan>(tp), 0);
-        TlbSpyParams sp;
-        sp.timing = ctx.timing;
-        sp.layout = layout;
-        sp.roundsPerBit = ctx.roundsPerBit;
-        sp.seed = ctx.seed + 7;
-        machine.addProcess(std::make_unique<TlbSpy>(sp), 1);
+        const PrimeProbeLayout layout{
+            .numSets = tlb.numSets(),
+            .setStride = tlb.params().pageBytes,
+            .slotStride = 64,
+            .channelSets = ctx.tlbChannelSets,
+            .firstSet = 0,
+            .primeDepth = tlb.params().associativity,
+            .probeDepth = 1,
+        };
+        addPrimeProbePair(machine, ctx, layout, "tlb", 0, 0);
     };
     d.program = [](CCAuditor& auditor, const AuditKey& key,
                    unsigned slot, const UnitRunContext&) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "channels/bus_channel.hh"
-#include "channels/cache_channel.hh"
+#include "channels/prime_probe.hh"
 #include "channels/divider_channel.hh"
 #include "sim/machine.hh"
+#include "units/unit_registry.hh"
 
 namespace cchunter
 {
@@ -211,25 +216,25 @@ TEST(CacheChannelTest, RoundsMultiplyOscillationPeriods)
     Machine m(mp);
     ChannelTiming t = fastTiming(100.0); // 25 M per bit
 
-    CacheChannelLayout layout;
-    layout.l2NumSets = 4096;
+    PrimeProbeLayout layout;
+    layout.numSets = 4096;
     layout.channelSets = 128;
 
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = t;
     tp.message = Message::fromBits({true});
     tp.layout = layout;
     tp.roundsPerBit = 8;
-    auto trojan = std::make_unique<CacheTrojan>(tp);
+    auto trojan = std::make_unique<PrimeProbeTrojan>(tp, "cache-trojan");
     auto* traw = trojan.get();
     m.addProcess(std::move(trojan), 0);
 
-    CacheSpyParams sp;
+    PrimeProbeSpyParams sp;
     sp.timing = t;
     sp.layout = layout;
     sp.roundsPerBit = 8;
     sp.noiseEvery = 0;
-    m.addProcess(std::make_unique<CacheSpy>(sp), 1);
+    m.addProcess(std::make_unique<PrimeProbeSpy>(sp, "cache-spy"), 1);
 
     m.run(t.bitTicks());
     // 8 rounds x 64 sets primed per round.
@@ -239,19 +244,20 @@ TEST(CacheChannelTest, RoundsMultiplyOscillationPeriods)
 
 TEST(CacheChannelTest, LayoutAddressing)
 {
-    CacheChannelLayout layout;
-    layout.l2NumSets = 4096;
+    PrimeProbeLayout layout;
+    layout.numSets = 4096;
     layout.channelSets = 512;
     EXPECT_EQ(layout.setsPerGroup(), 256u);
     // G1 set 0 and G0 set 0 are channelSets/2 sets apart.
-    const Addr g1 = layout.addrFor(0, true, 0, 0);
-    const Addr g0 = layout.addrFor(0, false, 0, 0);
+    const Addr g1 = layout.addr(0, 0, 0, 0);
+    const Addr g0 = layout.addr(0, layout.setsPerGroup(), 0, 0);
     EXPECT_EQ(g0 - g1, 256u * 64u);
-    // Lines with the same idx share the set: stride = sets * lineSize.
-    layout.linesPerSet = 2;
-    const Addr l1 = layout.addrFor(0, true, 3, 1);
-    EXPECT_EQ(l1, 3 * 64 + 4096 * 64u);
-    EXPECT_ANY_THROW(layout.addrFor(0, true, 300, 0));
+    // Lines on the same set share it: depth stride = sets * lineSize;
+    // with no slot stride the in-page slot does not move the address.
+    layout.primeDepth = 2;
+    EXPECT_EQ(layout.addr(0, 3, 1, 7), 3 * 64 + 4096 * 64u);
+    EXPECT_ANY_THROW(layout.addr(0, 512, 0, 0));
+    EXPECT_ANY_THROW(layout.addr(0, 3, 2, 0));
 }
 
 TEST(CacheChannelTest, SpyDecodesBitsViaLatencyRatio)
@@ -263,21 +269,21 @@ TEST(CacheChannelTest, SpyDecodesBitsViaLatencyRatio)
     const Message msg = Message::fromBits(
         {true, false, true, true, false, false, true, false});
 
-    CacheChannelLayout layout;
-    layout.l2NumSets = 4096;
+    PrimeProbeLayout layout;
+    layout.numSets = 4096;
     layout.channelSets = 128;
 
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = t;
     tp.message = msg;
     tp.layout = layout;
-    m.addProcess(std::make_unique<CacheTrojan>(tp), 0);
+    m.addProcess(std::make_unique<PrimeProbeTrojan>(tp, "cache-trojan"), 0);
 
-    CacheSpyParams sp;
+    PrimeProbeSpyParams sp;
     sp.timing = t;
     sp.layout = layout;
     sp.noiseEvery = 0;
-    auto spy = std::make_unique<CacheSpy>(sp);
+    auto spy = std::make_unique<PrimeProbeSpy>(sp, "cache-spy");
     auto* raw = spy.get();
     m.addProcess(std::move(spy), 1);
 
@@ -298,23 +304,326 @@ TEST(CacheChannelTest, SpyDecodesBitsViaLatencyRatio)
     }
 }
 
-TEST(CacheChannelTest, OddChannelSetsThrow)
+PrimeProbeTrojanParams
+trojanWith(const PrimeProbeLayout& layout)
 {
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = fastTiming();
     tp.message = Message::fromBits({true});
-    tp.layout.channelSets = 511;
-    EXPECT_ANY_THROW(CacheTrojan{tp});
+    tp.layout = layout;
+    return tp;
+}
+
+PrimeProbeSpyParams
+spyWith(const PrimeProbeLayout& layout)
+{
+    PrimeProbeSpyParams sp;
+    sp.timing = fastTiming();
+    sp.layout = layout;
+    return sp;
+}
+
+/** The TLB unit's layout: 16 sets of 4 KB pages, 4 ways, 64-byte
+ *  in-page slots. */
+PrimeProbeLayout
+tlbLayout(std::size_t channelSets)
+{
+    return PrimeProbeLayout{
+        .numSets = 16,
+        .setStride = 4096,
+        .slotStride = 64,
+        .channelSets = channelSets,
+        .firstSet = 0,
+        .primeDepth = 4,
+        .probeDepth = 1,
+    };
+}
+
+TEST(CacheChannelTest, OddChannelSetsThrow)
+{
+    PrimeProbeLayout layout;
+    layout.channelSets = 511;
+    EXPECT_ANY_THROW(PrimeProbeTrojan(trojanWith(layout), "cache-trojan"));
+    EXPECT_ANY_THROW(PrimeProbeSpy(spyWith(layout), "cache-spy"));
 }
 
 TEST(CacheChannelTest, ChannelBeyondL2Throws)
 {
-    CacheTrojanParams tp;
-    tp.timing = fastTiming();
-    tp.message = Message::fromBits({true});
-    tp.layout.l2NumSets = 64;
-    tp.layout.channelSets = 128;
-    EXPECT_ANY_THROW(CacheTrojan{tp});
+    PrimeProbeLayout layout;
+    layout.numSets = 64;
+    layout.channelSets = 128;
+    EXPECT_ANY_THROW(PrimeProbeTrojan(trojanWith(layout), "cache-trojan"));
+}
+
+TEST(CacheChannelTest, SpyRejectsSetsBeyondL2)
+{
+    // An out-of-range spy layout would alias wrapped sets.
+    PrimeProbeLayout layout;
+    layout.numSets = 64;
+    layout.channelSets = 128;
+    EXPECT_ANY_THROW(PrimeProbeSpy(spyWith(layout), "cache-spy"));
+    layout.channelSets = 64;
+    layout.firstSet = 2;
+    EXPECT_ANY_THROW(PrimeProbeSpy(spyWith(layout), "cache-spy"));
+    layout.firstSet = 0;
+    EXPECT_NO_THROW(PrimeProbeSpy(spyWith(layout), "cache-spy"));
+}
+
+TEST(CacheChannelTest, ZeroLinesPerSetThrows)
+{
+    // Zero depth would build a channel that never primes or probes.
+    PrimeProbeLayout layout;
+    layout.primeDepth = 0;
+    EXPECT_ANY_THROW(PrimeProbeTrojan(trojanWith(layout), "cache-trojan"));
+    EXPECT_ANY_THROW(PrimeProbeSpy(spyWith(layout), "cache-spy"));
+    layout.primeDepth = 1;
+    layout.probeDepth = 0;
+    EXPECT_ANY_THROW(PrimeProbeTrojan(trojanWith(layout), "cache-trojan"));
+    EXPECT_ANY_THROW(PrimeProbeSpy(spyWith(layout), "cache-spy"));
+}
+
+TEST(TlbChannelTest, LayoutAddressing)
+{
+    PrimeProbeLayout layout = tlbLayout(8);
+    layout.firstSet = 2;
+    // Spy: the page of set firstSet + groupSet, in-page slot groupSet.
+    EXPECT_EQ(layout.addr(0x100000, 5, 0, 5),
+              0x100000 + 7 * 4096u + 5 * 64u);
+    // Trojan way 3 on the same set: numSets pages further on, at slot
+    // channelSets + groupSet, so the two sides never share a line.
+    EXPECT_EQ(layout.addr(0, 5, 3, 8 + 5),
+              (7 + 3 * 16) * 4096u + 13 * 64u);
+    EXPECT_ANY_THROW(layout.addr(0, 8, 0, 0));
+    EXPECT_ANY_THROW(layout.addr(0, 5, layout.primeDepth, 8 + 5));
+}
+
+TEST(TlbChannelTest, LayoutValidationAppliesToBothSides)
+{
+    EXPECT_NO_THROW(PrimeProbeTrojan(trojanWith(tlbLayout(16)),
+                                     "tlb-trojan"));
+    EXPECT_NO_THROW(PrimeProbeSpy(spyWith(tlbLayout(16)), "tlb-spy"));
+    for (const std::size_t sets : {std::size_t{0}, std::size_t{7},
+                                   std::size_t{18}}) {
+        EXPECT_ANY_THROW(PrimeProbeTrojan(trojanWith(tlbLayout(sets)),
+                                          "tlb-trojan"))
+            << sets;
+        EXPECT_ANY_THROW(PrimeProbeSpy(spyWith(tlbLayout(sets)),
+                                       "tlb-spy"))
+            << sets;
+    }
+}
+
+TEST(TlbChannelTest, ZeroWaysThrows)
+{
+    PrimeProbeLayout layout = tlbLayout(16);
+    layout.primeDepth = 0;
+    EXPECT_ANY_THROW(PrimeProbeTrojan(trojanWith(layout), "tlb-trojan"));
+    EXPECT_ANY_THROW(PrimeProbeSpy(spyWith(layout), "tlb-spy"));
+}
+
+TEST(TlbChannelTest, SlotsMustFitInOnePage)
+{
+    // 2 * 64 sets * 64-byte slots = 8 KB > one 4 KB page.
+    PrimeProbeLayout layout = tlbLayout(16);
+    layout.numSets = 128;
+    layout.channelSets = 64;
+    EXPECT_ANY_THROW(PrimeProbeTrojan(trojanWith(layout), "tlb-trojan"));
+    EXPECT_ANY_THROW(PrimeProbeSpy(spyWith(layout), "tlb-spy"));
+    layout.channelSets = 32;
+    EXPECT_NO_THROW(PrimeProbeSpy(spyWith(layout), "tlb-spy"));
+}
+
+// ---------------------------------------------------------------------
+// Action-stream pins.  Each unit's sender and spy is built through its
+// registry descriptor and driven directly — no machine run — with a
+// synthetic clock and scripted latencies.  The hashes cover every
+// emitted action (kind plus address, op count, cycle count or sleep
+// target) and the spy's samples, decoded slots and slot means, so any
+// change to what a channel issues or decodes shows up here.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+mixHash(std::uint64_t h, std::uint64_t v)
+{
+    // splitmix64 finaliser over the running state.
+    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    h ^= h >> 31;
+    return h;
+}
+
+/** Latency of a timed action: a per-slot plateau (every third slot is
+ *  slow, so the contention spies see both symbol levels) plus a
+ *  step-seeded jitter (so the prime/probe G1/G0 ratios straddle 1). */
+Cycles
+scriptedLatency(const ChannelTiming& t, Tick now, std::uint64_t step)
+{
+    const bool slow = t.bitIndexAt(now) % 3 == 0;
+    return (slow ? 520 : 180) + mixHash(step, now) % 113;
+}
+
+/** Drive `w` for `steps` actions; returns the action-stream hash. */
+std::uint64_t
+driveActions(Workload& w, const ChannelTiming& t, std::size_t steps)
+{
+    ExecView view;
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < steps; ++i) {
+        const Action a = w.nextAction(view);
+        h = mixHash(h, static_cast<std::uint64_t>(a.kind));
+        Cycles lat = 0;
+        switch (a.kind) {
+          case ActionKind::Compute:
+            h = mixHash(h, a.cycles);
+            lat = a.cycles;
+            break;
+          case ActionKind::MemRead:
+          case ActionKind::MemWrite:
+          case ActionKind::LockedAccess:
+            h = mixHash(h, a.addr);
+            lat = scriptedLatency(t, view.now, i);
+            break;
+          case ActionKind::DivideBatch:
+          case ActionKind::MultiplyBatch:
+            h = mixHash(h, a.count);
+            lat = scriptedLatency(t, view.now, i) / 2;
+            break;
+          case ActionKind::SleepUntil:
+            h = mixHash(h, a.until);
+            view.now = std::max(view.now + 1, a.until);
+            break;
+          case ActionKind::Halt:
+            return mixHash(h, i);
+        }
+        view.now += lat;
+        view.lastLatency = lat;
+    }
+    return h;
+}
+
+std::uint64_t
+spyOutputHash(const ChannelSpy& spy)
+{
+    std::uint64_t h = mixHash(0, spy.samples().size());
+    for (double s : spy.samples())
+        h = mixHash(h, std::bit_cast<std::uint64_t>(s));
+    for (const auto& [slot, bit] : spy.decodedSlots())
+        h = mixHash(mixHash(h, slot), bit ? 1 : 0);
+    for (const auto& [slot, mean] : spy.slotMeans())
+        h = mixHash(mixHash(h, slot),
+                    std::bit_cast<std::uint64_t>(mean));
+    return h;
+}
+
+struct PinnedStreams
+{
+    std::uint64_t trojan = 0;
+    std::uint64_t spy = 0;
+    std::uint64_t decode = 0;
+    std::size_t decodedSlots = 0;
+};
+
+PinnedStreams
+runPinnedUnit(const char* unit, bool evasive)
+{
+    const UnitDescriptor* d = UnitRegistry::instance().byName(unit);
+    EXPECT_NE(d, nullptr) << unit;
+    if (d == nullptr)
+        return {};
+    UnitRunContext ctx;
+    ctx.message = Message::fromBits(
+        {true, false, true, true, false, false, true, false, true});
+    ctx.timing.start = 3000;
+    ctx.timing.bandwidthBps = 12500.0; // 200k ticks per bit
+    ctx.timing.maxSignalTicks = 150000;
+    if (evasive) {
+        ctx.timing.evasion.strategy = EvasionStrategy::DutyCycle;
+        ctx.timing.evasion.seed = 5;
+    }
+    ctx.seed = 3;
+    ctx.channelSets = 64;
+    ctx.linesPerSet = 2;
+    ctx.cacheNoiseEvery = 5;
+    ctx.cacheDormantNoiseGap = 7000;
+    ctx.roundsPerBit = 2;
+    ctx.tlbChannelSets = 16;
+    ctx.busEvasionPeriod = evasive ? 9000 : 0;
+
+    MachineParams mp;
+    if (d->configureMachine)
+        d->configureMachine(mp, ctx);
+    Machine m(mp);
+    d->buildWorkload(m, ctx);
+
+    Workload* trojan = nullptr;
+    Workload* spyWorkload = nullptr;
+    for (const auto& p : m.scheduler().processes()) {
+        if (dynamic_cast<ChannelSpy*>(&p->workload()))
+            spyWorkload = &p->workload();
+        else
+            trojan = &p->workload();
+    }
+    EXPECT_NE(trojan, nullptr) << unit;
+    EXPECT_NE(spyWorkload, nullptr) << unit;
+    if (trojan == nullptr || spyWorkload == nullptr)
+        return {};
+
+    PinnedStreams out;
+    out.trojan = driveActions(*trojan, ctx.timing, 4000);
+    out.spy = driveActions(*spyWorkload, ctx.timing, 30000);
+    const auto& spy = dynamic_cast<const ChannelSpy&>(*spyWorkload);
+    out.decode = spyOutputHash(spy);
+    out.decodedSlots = spy.decodedSlots().size();
+    return out;
+}
+
+struct StreamPin
+{
+    const char* unit;
+    bool evasive;
+    std::uint64_t trojan;
+    std::uint64_t spy;
+    std::uint64_t decode;
+    std::size_t decodedSlots;
+};
+
+TEST(ChannelActionStreamTest, EveryUnitMatchesItsPinnedStream)
+{
+    const StreamPin pins[] = {
+        {"bus", false, 0x35cb74b27d3741c9ull, 0xcc51c209c71a5e51ull,
+         0x7ba523645a10d758ull, 58},
+        {"bus", true, 0x6fa48e83af1322eaull, 0x6dd81c8ec5cffa1dull,
+         0x890b9821f45b3de4ull, 116},
+        {"divider", false, 0xdac2a0a144c3276bull, 0x754f2a11ccd3fae7ull,
+         0x12e6540d004e3b64ull, 16},
+        {"divider", true, 0x8856bfd6398b9de8ull, 0xb3e3b701681edd64ull,
+         0x80f77f4c3798ca18ull, 31},
+        {"multiplier", false, 0x025bee1453903817ull, 0x69cf92f34937e46bull,
+         0x3b5a96df438a9cffull, 16},
+        {"multiplier", true, 0x9999049876561f98ull, 0x00bbea30cfdbb15aull,
+         0x51852b599a239cfeull, 31},
+        {"cache", false, 0x2af3eb5d34513be4ull, 0x194820622aa334d4ull,
+         0x718c373679419882ull, 72},
+        {"cache", true, 0xa4c36908fcb92499ull, 0xef6c98ad3d86d157ull,
+         0xa315c8bf500dae7eull, 52},
+        {"tlb", false, 0xd21407b3455b366bull, 0x984c426ce0f94fb9ull,
+         0xe53836a560c85521ull, 833},
+        {"tlb", true, 0x633ee74218e20be2ull, 0xb2f202e6ef82fec7ull,
+         0x129123cd5453bdd8ull, 833},
+    };
+    for (const StreamPin& pin : pins) {
+        const PinnedStreams got = runPinnedUnit(pin.unit, pin.evasive);
+        const std::string label =
+            std::string(pin.unit) + (pin.evasive ? " (evasive)" : "");
+        EXPECT_GT(got.decodedSlots, 3u) << label;
+        EXPECT_EQ(got.trojan, pin.trojan) << label;
+        EXPECT_EQ(got.spy, pin.spy) << label;
+        EXPECT_EQ(got.decode, pin.decode) << label;
+        EXPECT_EQ(got.decodedSlots, pin.decodedSlots) << label;
+    }
 }
 
 } // namespace
