@@ -19,7 +19,8 @@
 #include "bench/common.hh"
 #include "channels/bus_channel.hh"
 #include "channels/divider_channel.hh"
-#include "mitigate/mitigator.hh"
+#include "mitigate/response_plan.hh"
+#include "units/unit_registry.hh"
 
 using namespace cchunter;
 using namespace cchunter::bench;
@@ -97,9 +98,19 @@ main(int argc, char** argv)
                   fmtDouble(ber_before, 3),
                   verdict_before.detected ? "DETECTED" : "clean"});
 
-        Mitigator mitigator(machine, daemon);
-        const auto report = mitigator.unshare(spy_proc.pid());
-        std::printf("response: %s\n", report.summary().c_str());
+        // Unshare: re-pin the spy onto another core.
+        const unsigned threads =
+            machine.numContexts() / machine.numCores();
+        const unsigned current_core =
+            spy_proc.pinned() ? spy_proc.pinnedContext() / threads : 0;
+        // Farthest core: maximise the distance so the pair cannot follow.
+        const unsigned target_core =
+            (current_core + machine.numCores() / 2) % machine.numCores();
+        const auto target_ctx =
+            static_cast<ContextId>(target_core * threads);
+        spy_proc.setPinnedContext(target_ctx);
+        std::printf("response: unshare-core applied pid=%u -> context %d\n",
+                    spy_proc.pid(), int{target_ctx});
 
         const std::size_t slot_cut =
             timing.bitIndexAt(machine.now()) + 2;
@@ -153,10 +164,17 @@ main(int argc, char** argv)
                   fmtDouble(ber_before, 3),
                   verdict_before.detected ? "DETECTED" : "clean"});
 
-        Mitigator mitigator(machine, daemon);
-        const auto report =
-            mitigator.respond(MonitorTarget::MemoryBus, 0);
-        std::printf("response: %s\n", report.summary().c_str());
+        // The ladder's rate-limit rung: one bus lock per default Δt.
+        const UnitDescriptor& bus =
+            UnitRegistry::instance().require(MonitorTarget::MemoryBus);
+        const bool applied = applyResponsePlan(
+            machine, ResponsePlan{ResponseLevel::RateLimit},
+            bus.channelContexts, bus.rateLimitAtBus);
+        std::printf("response: rate-limit-bus-locks %s "
+                    "min-lock-interval=%llu\n",
+                    applied ? "applied" : "not applied",
+                    static_cast<unsigned long long>(
+                        machine.mem().bus().lockRateLimit()));
 
         const std::size_t slot_cut =
             timing.bitIndexAt(machine.now()) + 2;

@@ -6,30 +6,65 @@
  *     neighbours; the CC-Auditor watches core 0's cache.
  *  2. The daemon's oscillation analysis raises the alarm.
  *  3. The conflict records attribute the channel to a process pair.
- *  4. The mitigator migrates one party to another core.
+ *  4. One party is re-pinned to another core (unshare).
  *  5. Continued auditing confirms the channel is severed, and the
  *     machine statistics report summarises the episode.
  *
  * Usage: incident_response [quanta=6] [sets=256] [seed=9]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "auditor/cc_auditor.hh"
 #include "auditor/daemon.hh"
 #include "channels/prime_probe.hh"
 #include "detect/detector.hh"
 #include "faults/fault_injector.hh"
-#include "mitigate/mitigator.hh"
 #include "sim/machine.hh"
 #include "sim/stats_report.hh"
 #include "util/config.hh"
 #include "workloads/suites.hh"
 
 using namespace cchunter;
+
+namespace
+{
+
+/**
+ * The most likely trojan/spy pair behind a cache slot's conflict
+ * records: the most frequent unordered pid pair, lower pid first.
+ * Returns (invalidProcess, invalidProcess) when no records exist.
+ */
+std::pair<ProcessId, ProcessId>
+suspectPair(const AuditDaemon& daemon, unsigned slot)
+{
+    std::map<std::pair<ProcessId, ProcessId>, std::uint64_t> counts;
+    for (const auto& rec : daemon.conflictRecords(slot)) {
+        if (rec.replacerPid == invalidProcess ||
+            rec.victimPid == invalidProcess)
+            continue;
+        auto key = std::minmax(rec.replacerPid, rec.victimPid);
+        ++counts[{key.first, key.second}];
+    }
+    std::pair<ProcessId, ProcessId> best{invalidProcess,
+                                         invalidProcess};
+    std::uint64_t best_count = 0;
+    for (const auto& [pair, count] : counts) {
+        if (count > best_count) {
+            best_count = count;
+            best = pair;
+        }
+    }
+    return best;
+}
+
+} // namespace
 
 int
 main(int argc, char** argv)
@@ -102,17 +137,35 @@ main(int argc, char** argv)
     }
 
     // --- attribution -------------------------------------------------
-    Mitigator mitigator(machine, daemon);
-    const auto suspects = mitigator.suspectPair(0);
+    const auto suspects = suspectPair(daemon, 0);
     std::printf("[attrib]  suspect pair: pid %u and pid %u "
                 "(trojan pid %u, spy pid %u)\n",
                 suspects.first, suspects.second, trojan.pid(),
                 spy.pid());
 
     // --- response ----------------------------------------------------
-    const MitigationReport report =
-        mitigator.respond(MonitorTarget::L2Cache, 0);
-    std::printf("[respond] %s\n", report.summary().c_str());
+    // Unshare: migrate the higher pid (the later-arrived, typically the
+    // spy); either party leaving severs the channel.
+    Process* p = nullptr;
+    for (const auto& proc : machine.scheduler().processes())
+        if (proc->pid() == suspects.second)
+            p = proc.get();
+    if (p) {
+        const unsigned threads =
+            machine.numContexts() / machine.numCores();
+        const unsigned current_core =
+            p->pinned() ? p->pinnedContext() / threads : 0;
+        // Farthest core: maximise the distance so the pair cannot follow.
+        const unsigned target_core =
+            (current_core + machine.numCores() / 2) % machine.numCores();
+        const auto target_ctx =
+            static_cast<ContextId>(target_core * threads);
+        p->setPinnedContext(target_ctx);
+        std::printf("[respond] unshare-core applied pid=%u -> context %d\n",
+                    p->pid(), int{target_ctx});
+    } else {
+        std::printf("[respond] unshare-core not applied\n");
+    }
 
     // --- verification -------------------------------------------------
     // A noisy neighbour inherits the vacated context, so conflict

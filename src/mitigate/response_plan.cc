@@ -1,10 +1,6 @@
 #include "mitigate/response_plan.hh"
 
-#include <sstream>
-
 #include "sim/machine.hh"
-#include "units/unit_registry.hh"
-#include "util/logging.hh"
 
 namespace cchunter
 {
@@ -26,19 +22,6 @@ responseLevelName(ResponseLevel level)
 }
 
 ResponseLevel
-responseLevelFromName(const std::string& name)
-{
-    for (auto level :
-         {ResponseLevel::Observe, ResponseLevel::RateLimit,
-          ResponseLevel::TemporalPartition, ResponseLevel::Quarantine})
-        if (name == responseLevelName(level))
-            return level;
-    fatal("unknown response level '", name,
-          "' (observe, rate-limit, temporal-partition, quarantine)");
-    return ResponseLevel::Observe;
-}
-
-ResponseLevel
 escalated(ResponseLevel level)
 {
     return level == ResponseLevel::Quarantine
@@ -56,68 +39,25 @@ deescalated(ResponseLevel level)
                      static_cast<std::uint8_t>(level) - 1);
 }
 
-std::map<std::string, std::string>
-ResponsePlan::toConfig() const
-{
-    std::map<std::string, std::string> config;
-    config["respond.level"] = responseLevelName(level);
-    config["respond.bus_lock_interval"] =
-        std::to_string(busLockInterval);
-    config["respond.throttle_period"] = std::to_string(throttlePeriod);
-    config["respond.throttle_active"] = std::to_string(throttleActive);
-    return config;
-}
-
-ResponsePlan
-ResponsePlan::fromConfig(const std::map<std::string, std::string>& config)
-{
-    ResponsePlan plan;
-    if (auto it = config.find("respond.level"); it != config.end())
-        plan.level = responseLevelFromName(it->second);
-    if (auto it = config.find("respond.bus_lock_interval");
-        it != config.end())
-        plan.busLockInterval = std::stoull(it->second);
-    if (auto it = config.find("respond.throttle_period");
-        it != config.end())
-        plan.throttlePeriod =
-            static_cast<std::uint32_t>(std::stoul(it->second));
-    if (auto it = config.find("respond.throttle_active");
-        it != config.end())
-        plan.throttleActive =
-            static_cast<std::uint32_t>(std::stoul(it->second));
-    return plan;
-}
-
-namespace
-{
-
-/** The bus channel is rate-limited at the bus, everything else at the
- *  scheduler; the registry's descriptor decides. */
 bool
-rateLimitAtBus(MonitorTarget unit)
-{
-    const UnitDescriptor* d = UnitRegistry::instance().byId(unit);
-    return d && d->mitigation == MitigationKind::RateLimitBusLocks;
-}
-
-bool
-apply(Machine& machine, std::array<ContextId, 2> contexts,
-      const ResponsePlan& plan, bool bus_rate_limit)
+applyResponsePlan(Machine& machine, const ResponsePlan& plan,
+                  std::array<ContextId, 2> contexts,
+                  bool rate_limit_at_bus)
 {
     Scheduler& sched = machine.scheduler();
     switch (plan.level) {
       case ResponseLevel::Observe:
         return false;
       case ResponseLevel::RateLimit:
-        if (bus_rate_limit) {
-            machine.mem().bus().setLockRateLimit(plan.busLockInterval);
+        if (rate_limit_at_bus) {
+            machine.mem().bus().setLockRateLimit(responseBusLockInterval);
             return true;
         }
         // Throttle the second context (the spy's seat): the receiver
         // losing quanta degrades decode without idling the trojan's
         // context, which benign co-runners may share.
-        return sched.throttleContext(contexts[1], plan.throttlePeriod,
-                                     plan.throttleActive);
+        return sched.throttleContext(contexts[1], responseThrottlePeriod,
+                                     responseThrottleActive);
       case ResponseLevel::TemporalPartition:
         return sched.partitionContexts(contexts[0], contexts[1]);
       case ResponseLevel::Quarantine: {
@@ -127,66 +67,6 @@ apply(Machine& machine, std::array<ContextId, 2> contexts,
       }
     }
     return false;
-}
-
-bool
-release(Machine& machine, std::array<ContextId, 2> contexts,
-        const ResponsePlan& plan, bool bus_rate_limit)
-{
-    Scheduler& sched = machine.scheduler();
-    switch (plan.level) {
-      case ResponseLevel::Observe:
-        return false;
-      case ResponseLevel::RateLimit:
-        if (bus_rate_limit) {
-            if (machine.mem().bus().lockRateLimit() == 0)
-                return false;
-            machine.mem().bus().setLockRateLimit(0);
-            return true;
-        }
-        return sched.releaseThrottle(contexts[1]);
-      case ResponseLevel::TemporalPartition:
-        return sched.releasePartition(contexts[0], contexts[1]);
-      case ResponseLevel::Quarantine: {
-        const bool a = sched.releaseQuarantine(contexts[0]);
-        const bool b = sched.releaseQuarantine(contexts[1]);
-        return a || b;
-      }
-    }
-    return false;
-}
-
-} // namespace
-
-bool
-applyResponsePlan(Machine& machine, MonitorTarget unit,
-                  const ResponsePlan& plan)
-{
-    const UnitDescriptor& d = UnitRegistry::instance().require(unit);
-    return apply(machine, d.channelContexts, plan, rateLimitAtBus(unit));
-}
-
-bool
-applyResponsePlan(Machine& machine, std::array<ContextId, 2> contexts,
-                  const ResponsePlan& plan)
-{
-    return apply(machine, contexts, plan, false);
-}
-
-bool
-releaseResponsePlan(Machine& machine, MonitorTarget unit,
-                    const ResponsePlan& plan)
-{
-    const UnitDescriptor& d = UnitRegistry::instance().require(unit);
-    return release(machine, d.channelContexts, plan,
-                   rateLimitAtBus(unit));
-}
-
-bool
-releaseResponsePlan(Machine& machine, std::array<ContextId, 2> contexts,
-                    const ResponsePlan& plan)
-{
-    return release(machine, contexts, plan, false);
 }
 
 } // namespace cchunter

@@ -2,8 +2,8 @@
  * @file
  * The response ladder: a ResponsePlan names one rung of the
  * observe → rate-limit → temporal-partition → quarantine escalation
- * ladder plus its tuning knobs, and apply/release helpers translate a
- * plan into scheduler/bus actions on a machine.
+ * ladder, and applyResponsePlan translates it into scheduler/bus
+ * actions on a machine.  This is the library's only response path.
  *
  * The ladder trades residual channel bandwidth against the performance
  * tax on benign co-runners:
@@ -28,8 +28,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "util/types.hh"
 
@@ -37,7 +35,6 @@ namespace cchunter
 {
 
 class Machine;
-enum class MonitorTarget : std::uint8_t;
 
 /** One rung of the escalation ladder, weakest response first. */
 enum class ResponseLevel : std::uint8_t
@@ -51,55 +48,39 @@ enum class ResponseLevel : std::uint8_t
 /** Stable lower-case name (config keys, action log, bench tables). */
 const char* responseLevelName(ResponseLevel level);
 
-/** Parse a level name; fatal on an unknown one. */
-ResponseLevel responseLevelFromName(const std::string& name);
-
 /** The rung one step up/down, saturating at the ladder ends. */
 ResponseLevel escalated(ResponseLevel level);
 ResponseLevel deescalated(ResponseLevel level);
 
-/** A response level plus its tuning knobs. */
+/** RateLimit on the memory bus: minimum cycles between bus locks (one
+ *  conflict event per default observation window). */
+constexpr Cycles responseBusLockInterval = 100000;
+
+/** RateLimit elsewhere: duty-cycle throttle of the spy context —
+ *  `responseThrottleActive` quanta running out of every
+ *  `responseThrottlePeriod`. */
+constexpr std::uint32_t responseThrottlePeriod = 4;
+constexpr std::uint32_t responseThrottleActive = 1;
+
+/** The rung a response engages. */
 struct ResponsePlan
 {
     ResponseLevel level = ResponseLevel::Observe;
 
-    /** RateLimit on the memory bus: minimum cycles between bus locks
-     *  (one conflict event per default observation window). */
-    Cycles busLockInterval = 100000;
-
-    /** RateLimit elsewhere: duty-cycle throttle of the spy context —
-     *  `throttleActive` quanta running out of every `throttlePeriod`. */
-    std::uint32_t throttlePeriod = 4;
-    std::uint32_t throttleActive = 1;
-
     bool active() const { return level != ResponseLevel::Observe; }
-
-    /** Config round-trip (the scenario axis / corpus encoding). */
-    std::map<std::string, std::string> toConfig() const;
-    static ResponsePlan
-    fromConfig(const std::map<std::string, std::string>& config);
 };
 
 /**
- * Engage `plan` on `machine` for a channel on `unit`, isolating the
- * unit's registry-declared context pair.  Returns true if any action
- * was taken (Observe plans take none).
+ * Engage `plan` on `machine` for a channel between the two hardware
+ * contexts `contexts` (a unit's registry-declared channelContexts, or
+ * a benign pair's seats).  `rate_limit_at_bus` selects the RateLimit
+ * actuator: bus-lock rate limiting (the descriptor's rateLimitAtBus)
+ * or a duty-cycle throttle of `contexts[1]`.  Returns true if any
+ * action was taken (Observe plans take none).
  */
-bool applyResponsePlan(Machine& machine, MonitorTarget unit,
-                       const ResponsePlan& plan);
-
-/** As above with an explicit context pair (benign runs, tests). */
-bool applyResponsePlan(Machine& machine,
+bool applyResponsePlan(Machine& machine, const ResponsePlan& plan,
                        std::array<ContextId, 2> contexts,
-                       const ResponsePlan& plan);
-
-/** Undo applyResponsePlan (counted by the scheduler's IsolationStats
- *  and the bus).  Returns true if any engaged action was released. */
-bool releaseResponsePlan(Machine& machine, MonitorTarget unit,
-                         const ResponsePlan& plan);
-bool releaseResponsePlan(Machine& machine,
-                         std::array<ContextId, 2> contexts,
-                         const ResponsePlan& plan);
+                       bool rate_limit_at_bus);
 
 } // namespace cchunter
 

@@ -60,18 +60,13 @@ struct ResponsePolicy
     std::uint64_t maxActionsPerTenant = 8;
     std::uint64_t maxTotalActions = 64;
 
-    /** Tuning knobs used when a level is applied to a machine. */
-    ResponsePlan plan;
-
     /** The effective per-unit policy. */
     const UnitResponsePolicy& forUnit(MonitorTarget unit) const;
 
-    /** The plan that applies `level` with this policy's knobs. */
+    /** The plan that applies `level`. */
     ResponsePlan planFor(ResponseLevel level) const
     {
-        ResponsePlan p = plan;
-        p.level = level;
-        return p;
+        return ResponsePlan{level};
     }
 };
 

@@ -205,11 +205,11 @@ scenarioConfig(const ScenarioOptions& opts)
         cfg.set("respond.level",
                 std::string(responseLevelName(opts.response.level)));
         cfg.set("respond.bus_lock_interval",
-                static_cast<std::int64_t>(opts.response.busLockInterval));
+                static_cast<std::int64_t>(responseBusLockInterval));
         cfg.set("respond.throttle_period",
-                static_cast<std::int64_t>(opts.response.throttlePeriod));
+                static_cast<std::int64_t>(responseThrottlePeriod));
         cfg.set("respond.throttle_active",
-                static_cast<std::int64_t>(opts.response.throttleActive));
+                static_cast<std::int64_t>(responseThrottleActive));
     }
     return cfg;
 }
@@ -317,12 +317,8 @@ runOnlineAudit(const OnlineAuditOptions& options, ScenarioTrace* trace)
     const std::array<ContextId, 2> pair_ctx =
         unit ? unit->channelContexts
              : std::array<ContextId, 2>{ContextId{0}, ContextId{1}};
-    if (opts.response.active()) {
-        if (unit)
-            applyResponsePlan(machine, unit->id, opts.response);
-        else
-            applyResponsePlan(machine, pair_ctx, opts.response);
-    }
+    const bool rate_limit_at_bus = unit && unit->rateLimitAtBus;
+    applyResponsePlan(machine, opts.response, pair_ctx, rate_limit_at_bus);
 
     OnlineAnalysisParams online = options.online;
     if (opts.quanta != 0 &&
@@ -339,19 +335,15 @@ runOnlineAudit(const OnlineAuditOptions& options, ScenarioTrace* trace)
     // the boundary's own analysis just raised.
     if (options.autoRespond.enabled) {
         machine.scheduler().addQuantumObserver(
-            [&result, &machine, &daemon, &options, unit,
-             pair_ctx](std::uint64_t q, Tick) {
+            [&result, &machine, &daemon, &options, pair_ctx,
+             rate_limit_at_bus](std::uint64_t q, Tick) {
                 if (result.response.engaged)
                     return;
                 if (daemon.alarms().size() <
                     options.autoRespond.alarmThreshold)
                     return;
-                if (unit)
-                    applyResponsePlan(machine, unit->id,
-                                      options.autoRespond.plan);
-                else
-                    applyResponsePlan(machine, pair_ctx,
-                                      options.autoRespond.plan);
+                applyResponsePlan(machine, options.autoRespond.plan,
+                                  pair_ctx, rate_limit_at_bus);
                 result.response.engaged = true;
                 result.response.quantum = q;
                 result.response.level =

@@ -90,21 +90,6 @@ Scheduler::partitionContexts(ContextId a, ContextId b)
 }
 
 bool
-Scheduler::releasePartition(ContextId a, ContextId b)
-{
-    if (a > b)
-        std::swap(a, b);
-    for (auto it = partitions_.begin(); it != partitions_.end(); ++it) {
-        if (it->a == a && it->b == b) {
-            partitions_.erase(it);
-            ++isolation_.partitionsReleased;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 Scheduler::throttleContext(ContextId ctx, std::uint32_t period,
                            std::uint32_t active)
 {
@@ -124,19 +109,6 @@ Scheduler::throttleContext(ContextId ctx, std::uint32_t period,
 }
 
 bool
-Scheduler::releaseThrottle(ContextId ctx)
-{
-    for (auto it = throttles_.begin(); it != throttles_.end(); ++it) {
-        if (it->ctx == ctx) {
-            throttles_.erase(it);
-            ++isolation_.throttlesReleased;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
 Scheduler::quarantineContext(ContextId ctx)
 {
     checkContext(ctx, "quarantineContext");
@@ -146,20 +118,6 @@ Scheduler::quarantineContext(ContextId ctx)
     quarantined_.push_back(ctx);
     ++isolation_.quarantinesEngaged;
     return true;
-}
-
-bool
-Scheduler::releaseQuarantine(ContextId ctx)
-{
-    for (auto it = quarantined_.begin(); it != quarantined_.end();
-         ++it) {
-        if (*it == ctx) {
-            quarantined_.erase(it);
-            ++isolation_.quarantinesReleased;
-            return true;
-        }
-    }
-    return false;
 }
 
 bool
@@ -192,10 +150,17 @@ Scheduler::assign(Tick now)
     for (const auto& p : processes_) {
         if (p->halted())
             continue;
-        if (p->pinned())
+        if (p->pinned()) {
+            // Process::setPinnedContext re-pins after addProcess's
+            // check, so the context is validated again here.
+            if (p->pinnedContext() >= n_ctx)
+                fatal("Scheduler: process pinned to non-existent "
+                      "context ",
+                      int{p->pinnedContext()});
             pinned[p->pinnedContext()].push_back(p.get());
-        else
+        } else {
             floating.push_back(p.get());
+        }
     }
 
     // Pinned processes: round-robin within their context by quantum.

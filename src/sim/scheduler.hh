@@ -38,16 +38,13 @@ struct SchedulerParams
 using QuantumObserver =
     std::function<void(std::uint64_t quantum_index, Tick now)>;
 
-/** Counted engage/release transitions of the scheduler's isolation
+/** Counted engage transitions of the scheduler's isolation
  *  mechanisms (the knobs the response subsystem drives). */
 struct IsolationStats
 {
     std::uint64_t partitionsEngaged = 0;
-    std::uint64_t partitionsReleased = 0;
     std::uint64_t throttlesEngaged = 0;
-    std::uint64_t throttlesReleased = 0;
     std::uint64_t quarantinesEngaged = 0;
-    std::uint64_t quarantinesReleased = 0;
     /** Context-quanta a pinned process was denied its context. */
     std::uint64_t suppressedQuanta = 0;
 };
@@ -103,30 +100,26 @@ class Scheduler
     const SchedulerParams& params() const { return params_; }
 
     /**
-     * Isolation hooks.  All engage/release pairs are counted in
-     * isolation() and are no-ops (returning false) when the requested
-     * state is already present/absent.  With no isolation engaged the
-     * schedule is bit-identical to a scheduler without these hooks: no
-     * rng draws, no rotation changes.
+     * Isolation hooks.  Engagements are counted in isolation() and are
+     * no-ops (returning false) when the requested state is already
+     * present; an engaged hook stays for the machine's lifetime.  With
+     * no isolation engaged the schedule is bit-identical to a
+     * scheduler without these hooks: no rng draws, no rotation
+     * changes.
      */
 
     /** Temporally partition two contexts: they alternate quanta and
      *  are never co-scheduled.  Returns false if already engaged. */
     bool partitionContexts(ContextId a, ContextId b);
-    /** Release a partition (order-insensitive).  Returns false if no
-     *  such partition is engaged. */
-    bool releasePartition(ContextId a, ContextId b);
 
     /** Throttle a context to `active` out of every `period` quanta.
      *  Re-engaging an existing throttle updates its duty cycle without
      *  counting a new transition. */
     bool throttleContext(ContextId ctx, std::uint32_t period,
                          std::uint32_t active);
-    bool releaseThrottle(ContextId ctx);
 
     /** Quarantine a context: nothing is ever scheduled on it. */
     bool quarantineContext(ContextId ctx);
-    bool releaseQuarantine(ContextId ctx);
 
     /** True if any partition, throttle, or quarantine is engaged. */
     bool isolationActive() const

@@ -72,7 +72,7 @@ makeBusUnit()
     d.policy = AlarmKind::Contention;
     d.deltaT = busDeltaT;
     d.indicator2Scale = 50.0;
-    d.mitigation = MitigationKind::RateLimitBusLocks;
+    d.rateLimitAtBus = true;
     d.channelContexts = {ContextId{0}, ContextId{2}};
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
         BusTrojanParams tp;
@@ -114,7 +114,6 @@ makeDividerUnit()
     d.policy = AlarmKind::Contention;
     d.deltaT = dividerDeltaT;
     d.indicator2Scale = 2000.0;
-    d.mitigation = MitigationKind::UnshareCore;
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
         DividerTrojanParams tp;
         tp.timing = ctx.timing;
@@ -150,7 +149,6 @@ makeMultiplierUnit()
     d.policy = AlarmKind::Contention;
     d.deltaT = multiplierDeltaT;
     d.indicator2Scale = 2000.0;
-    d.mitigation = MitigationKind::UnshareCore;
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
         DividerTrojanParams tp;
         tp.timing = ctx.timing;
@@ -190,7 +188,6 @@ makeCacheUnit()
         "conflict miss displacing another context's L2 line";
     d.policy = AlarmKind::Oscillation;
     d.indicator2Scale = 64.0;
-    d.mitigation = MitigationKind::UnshareCore;
     d.configureMachine = [](MachineParams& mp, const UnitRunContext&) {
         // The cache channel experiments configure the 256 KB L2 with
         // associativity 1 (4096 sets) so that each side implements the
@@ -242,7 +239,6 @@ makeTlbUnit()
         "fill displacing another context's TLB translation";
     d.policy = AlarmKind::Oscillation;
     d.indicator2Scale = 64.0;
-    d.mitigation = MitigationKind::UnshareCore;
     const auto enableTlb = [](MachineParams& mp,
                               const UnitRunContext&) {
         mp.mem.tlb.enabled = true;

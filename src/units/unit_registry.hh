@@ -91,14 +91,6 @@ const std::vector<BenignPairing>& benignPairings();
 /** Look up a pairing (fatal on an unknown id). */
 const BenignPairing& benignPairing(BenignAuditUnits id);
 
-/** Available post-detection responses (see mitigate/). */
-enum class MitigationKind : std::uint8_t
-{
-    None,
-    UnshareCore,       //!< migrate one suspect to another core
-    RateLimitBusLocks, //!< throttle atomic-unaligned transactions
-};
-
 /**
  * Per-run context handed to the descriptor hooks: the scenario layer's
  * translation of its options into unit-agnostic knobs.  `message` is
@@ -167,8 +159,10 @@ struct UnitDescriptor
     /** Paper operating point for the unit's verdicts. */
     DetectionThresholds defaultThresholds;
 
-    /** Recommended post-detection response. */
-    MitigationKind mitigation = MitigationKind::None;
+    /** The response ladder's rate-limit rung throttles this unit's
+     *  scarce operation at the bus (lock rate limiting) rather than
+     *  duty-cycling the spy's context (mitigate/response_plan.hh). */
+    bool rateLimitAtBus = false;
 
     /** The two hardware contexts buildWorkload pins the trojan/spy
      *  pair onto — the pair the response ladder partitions or

@@ -105,5 +105,28 @@ TEST(MemoryBusTest, LockStormDelaysEveryone)
     EXPECT_EQ(done, 10030u);
 }
 
+TEST(BusRateLimitTest, ThrottlesLockFrequency)
+{
+    MemoryBus bus(BusParams{30, 1000});
+    bus.setLockRateLimit(50000);
+    const Tick first = bus.lockedTransfer(0, 0);
+    // Second lock immediately after: pushed to 50k.
+    const Tick second = bus.lockedTransfer(0, first);
+    EXPECT_GE(second, 50000u + 1000u);
+    EXPECT_EQ(bus.throttledLocks(), 1u);
+    // A lock after the interval passes unthrottled.
+    const Tick third = bus.lockedTransfer(0, 200000);
+    EXPECT_EQ(third, 201000u);
+    EXPECT_EQ(bus.throttledLocks(), 1u);
+}
+
+TEST(BusRateLimitTest, OrdinaryTransfersUnaffected)
+{
+    MemoryBus bus(BusParams{30, 1000});
+    bus.setLockRateLimit(50000);
+    EXPECT_EQ(bus.transfer(0, 0), 30u);
+    EXPECT_EQ(bus.transfer(0, 100), 130u);
+}
+
 } // namespace
 } // namespace cchunter

@@ -1,10 +1,10 @@
 /**
  * @file
- * Scheduler isolation hooks + mitigation engage/release pairs: the
- * actuator layer the response ladder drives.  Every transition is
- * counted (IsolationStats / MitigationLedger), releases restore the
- * pre-engagement state, and a machine that never engages isolation
- * schedules bit-identically to one without the hooks.
+ * Scheduler isolation hooks and process re-pinning: the actuator layer
+ * the response ladder drives.  Every engagement is counted
+ * (IsolationStats), re-engaging is a no-op, and a machine that never
+ * engages isolation schedules bit-identically to one without the
+ * hooks.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +12,8 @@
 #include <memory>
 
 #include "channels/divider_channel.hh"
-#include "mitigate/mitigator.hh"
 #include "mitigate/response_plan.hh"
+#include "sim/machine.hh"
 
 namespace cchunter
 {
@@ -63,10 +63,6 @@ TEST(SchedulerIsolationTest, PartitionAlternatesTheTwoContexts)
     // Re-engaging the same pair (either order) is a counted no-op.
     EXPECT_FALSE(sched.partitionContexts(1, 0));
     EXPECT_EQ(sched.isolation().partitionsEngaged, 1u);
-    EXPECT_TRUE(sched.releasePartition(1, 0));
-    EXPECT_FALSE(sched.releasePartition(0, 1));
-    EXPECT_FALSE(sched.isolationActive());
-    EXPECT_EQ(sched.isolation().partitionsReleased, 1u);
 }
 
 TEST(SchedulerIsolationTest, ThrottleEnforcesTheDutyCycle)
@@ -82,10 +78,6 @@ TEST(SchedulerIsolationTest, ThrottleEnforcesTheDutyCycle)
     EXPECT_EQ(sched.isolation().throttlesEngaged, 1u);
     for (std::uint64_t q = 0; q < 8; ++q)
         EXPECT_EQ(sched.contextSuppressed(1, q), q % 4 >= 3) << q;
-
-    EXPECT_TRUE(sched.releaseThrottle(1));
-    EXPECT_FALSE(sched.releaseThrottle(1));
-    EXPECT_EQ(sched.isolation().throttlesReleased, 1u);
 }
 
 TEST(SchedulerIsolationTest, QuarantineSuppressesEveryQuantum)
@@ -97,9 +89,7 @@ TEST(SchedulerIsolationTest, QuarantineSuppressesEveryQuantum)
     for (std::uint64_t q = 0; q < 4; ++q)
         EXPECT_TRUE(sched.contextSuppressed(0, q));
     EXPECT_EQ(sched.activeQuarantines(), 1u);
-    EXPECT_TRUE(sched.releaseQuarantine(0));
     EXPECT_EQ(sched.isolation().quarantinesEngaged, 1u);
-    EXPECT_EQ(sched.isolation().quarantinesReleased, 1u);
 }
 
 TEST(SchedulerIsolationTest, QuarantineStopsAPinnedChannelPair)
@@ -120,31 +110,43 @@ TEST(SchedulerIsolationTest, QuarantineStopsAPinnedChannelPair)
     EXPECT_GT(sched.isolation().suppressedQuanta, 0u);
 }
 
-TEST(ResponsePlanTest, ConfigRoundTrip)
+TEST(SchedulerIsolationTest, RepinToAnotherCoreStopsDividerConflicts)
 {
-    ResponsePlan plan;
-    plan.level = ResponseLevel::TemporalPartition;
-    plan.busLockInterval = 42000;
-    plan.throttlePeriod = 8;
-    plan.throttleActive = 2;
+    Machine machine(smallMachine());
+    Process& spy = addDividerPair(machine);
+    machine.runQuanta(2);
+    const auto before = machine.divider(0).totalConflicts();
+    EXPECT_GT(before, 0u);
 
-    const ResponsePlan back = ResponsePlan::fromConfig(plan.toConfig());
-    EXPECT_EQ(back.level, plan.level);
-    EXPECT_EQ(back.busLockInterval, plan.busLockInterval);
-    EXPECT_EQ(back.throttlePeriod, plan.throttlePeriod);
-    EXPECT_EQ(back.throttleActive, plan.throttleActive);
-    EXPECT_TRUE(back.active());
-    EXPECT_FALSE(ResponsePlan{}.active());
+    // Unshare: the spy moves to the first context of core 2.
+    spy.setPinnedContext(4);
+    machine.runQuanta(1); // boundary applies the new pinning
+    const auto at_switch = machine.divider(0).totalConflicts();
+    machine.runQuanta(2);
+    EXPECT_EQ(machine.divider(0).totalConflicts(), at_switch);
+    EXPECT_EQ(machine.runningOn(4), &spy);
+}
+
+TEST(SchedulerIsolationTest, RepinToMissingContextFailsAtAssignment)
+{
+    Machine machine(smallMachine());
+    Process& spy = addDividerPair(machine);
+    // addProcess refuses such a pin; a later re-pin is caught when the
+    // scheduler next assigns contexts instead of indexing past them.
+    spy.setPinnedContext(
+        static_cast<ContextId>(machine.numContexts() + 40));
+    EXPECT_ANY_THROW(machine.runQuanta(1));
 }
 
 TEST(ResponsePlanTest, LevelNamesRoundTrip)
 {
-    for (const ResponseLevel level :
-         {ResponseLevel::Observe, ResponseLevel::RateLimit,
-          ResponseLevel::TemporalPartition,
-          ResponseLevel::Quarantine})
-        EXPECT_EQ(responseLevelFromName(responseLevelName(level)),
-                  level);
+    EXPECT_STREQ(responseLevelName(ResponseLevel::Observe), "observe");
+    EXPECT_STREQ(responseLevelName(ResponseLevel::RateLimit),
+                 "rate-limit");
+    EXPECT_STREQ(responseLevelName(ResponseLevel::TemporalPartition),
+                 "temporal-partition");
+    EXPECT_STREQ(responseLevelName(ResponseLevel::Quarantine),
+                 "quarantine");
     EXPECT_EQ(escalated(ResponseLevel::Quarantine),
               ResponseLevel::Quarantine);
     EXPECT_EQ(deescalated(ResponseLevel::Observe),
@@ -153,76 +155,53 @@ TEST(ResponsePlanTest, LevelNamesRoundTrip)
               ResponseLevel::RateLimit);
     EXPECT_EQ(deescalated(ResponseLevel::Quarantine),
               ResponseLevel::TemporalPartition);
+    // One step up then down returns to the rung below the top.
+    for (const ResponseLevel level :
+         {ResponseLevel::Observe, ResponseLevel::RateLimit,
+          ResponseLevel::TemporalPartition})
+        EXPECT_EQ(deescalated(escalated(level)), level);
+    EXPECT_TRUE(ResponsePlan{ResponseLevel::RateLimit}.active());
+    EXPECT_FALSE(ResponsePlan{}.active());
 }
 
 TEST(ResponsePlanTest, BusRateLimitPlanDrivesTheBus)
 {
     Machine machine(smallMachine());
-    ResponsePlan plan;
-    plan.level = ResponseLevel::RateLimit;
-    plan.busLockInterval = 77000;
-    ASSERT_TRUE(applyResponsePlan(machine, MonitorTarget::MemoryBus,
-                                  plan));
-    EXPECT_EQ(machine.mem().bus().lockRateLimit(), 77000u);
-    ASSERT_TRUE(releaseResponsePlan(machine, MonitorTarget::MemoryBus,
-                                    plan));
-    EXPECT_EQ(machine.mem().bus().lockRateLimit(), 0u);
-}
-
-TEST(ResponsePlanTest, QuarantinePlanEngagesAndReleasesBothContexts)
-{
-    Machine machine(smallMachine());
-    ResponsePlan plan;
-    plan.level = ResponseLevel::Quarantine;
-    const std::array<ContextId, 2> pair = {0, 1};
-    ASSERT_TRUE(applyResponsePlan(machine, pair, plan));
-    EXPECT_EQ(machine.scheduler().activeQuarantines(), 2u);
-    ASSERT_TRUE(releaseResponsePlan(machine, pair, plan));
+    const ResponsePlan plan{ResponseLevel::RateLimit};
+    ASSERT_TRUE(applyResponsePlan(machine, plan, {0, 2}, true));
+    EXPECT_EQ(machine.mem().bus().lockRateLimit(),
+              responseBusLockInterval);
+    // The bus actuator leaves the scheduler alone.
     EXPECT_FALSE(machine.scheduler().isolationActive());
-    EXPECT_EQ(machine.scheduler().isolation().quarantinesEngaged, 2u);
-    EXPECT_EQ(machine.scheduler().isolation().quarantinesReleased, 2u);
 }
 
-TEST(MitigatorLedgerTest, UnshareEngageReleaseRestoresThePin)
+TEST(ResponsePlanTest, ContextRateLimitPlanThrottlesTheSpySeat)
 {
     Machine machine(smallMachine());
-    Process& spy = addDividerPair(machine);
-
-    CCAuditor auditor(machine);
-    AuditDaemon daemon(machine, auditor);
-    Mitigator mitigator(machine, daemon);
-
-    const MitigationReport engage = mitigator.unshare(spy.pid());
-    ASSERT_TRUE(engage.applied);
-    EXPECT_EQ(mitigator.ledger().unshares, 1u);
-    EXPECT_EQ(mitigator.ledger().engaged(), 1u);
-
-    const MitigationReport release =
-        mitigator.releaseUnshare(spy.pid());
-    ASSERT_TRUE(release.applied);
-    EXPECT_EQ(mitigator.ledger().unshareReleases, 1u);
-    EXPECT_EQ(mitigator.ledger().released(), 1u);
-    // The pin is back where it started.
-    EXPECT_EQ(release.newContext, 1);
-
-    // Releasing twice is safe and not applied.
-    EXPECT_FALSE(mitigator.releaseUnshare(spy.pid()).applied);
-}
-
-TEST(MitigatorLedgerTest, BusRateLimitEngageReleasePair)
-{
-    Machine machine(smallMachine());
-    CCAuditor auditor(machine);
-    AuditDaemon daemon(machine, auditor);
-    Mitigator mitigator(machine, daemon);
-
-    ASSERT_TRUE(mitigator.rateLimitBusLocks(123456).applied);
-    EXPECT_EQ(machine.mem().bus().lockRateLimit(), 123456u);
-    EXPECT_EQ(mitigator.ledger().rateLimits, 1u);
-
-    ASSERT_TRUE(mitigator.releaseBusLockRateLimit().applied);
+    const ResponsePlan plan{ResponseLevel::RateLimit};
+    ASSERT_TRUE(applyResponsePlan(machine, plan, {0, 1}, false));
     EXPECT_EQ(machine.mem().bus().lockRateLimit(), 0u);
-    EXPECT_EQ(mitigator.ledger().rateLimitReleases, 1u);
+    EXPECT_EQ(machine.scheduler().isolation().throttlesEngaged, 1u);
+    for (std::uint64_t q = 0; q < 8; ++q) {
+        EXPECT_FALSE(machine.scheduler().contextSuppressed(0, q)) << q;
+        EXPECT_EQ(machine.scheduler().contextSuppressed(1, q),
+                  q % responseThrottlePeriod >= responseThrottleActive)
+            << q;
+    }
+}
+
+TEST(ResponsePlanTest, QuarantinePlanEngagesBothContexts)
+{
+    Machine machine(smallMachine());
+    const ResponsePlan plan{ResponseLevel::Quarantine};
+    const std::array<ContextId, 2> pair = {0, 1};
+    ASSERT_TRUE(applyResponsePlan(machine, plan, pair, false));
+    EXPECT_EQ(machine.scheduler().activeQuarantines(), 2u);
+    // Re-applying the same rung takes no further action.
+    EXPECT_FALSE(applyResponsePlan(machine, plan, pair, false));
+    EXPECT_EQ(machine.scheduler().isolation().quarantinesEngaged, 2u);
+    EXPECT_FALSE(
+        applyResponsePlan(machine, ResponsePlan{}, pair, false));
 }
 
 } // namespace

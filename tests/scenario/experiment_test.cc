@@ -356,5 +356,33 @@ TEST(ScenarioTest, ScenarioConfigEchoesEffectiveOptions)
         EXPECT_NE(dumped.find(key + "="), std::string::npos);
 }
 
+TEST(ScenarioTest, ScenarioConfigPinsTheEngagedResponsePlan)
+{
+    // The dump feeds the fleet's registry fingerprint, so an engaged
+    // plan must echo exactly these four keys and values, and an
+    // Observe plan none at all.
+    ScenarioOptions opts = fastOptions();
+    const std::string observe = scenarioConfig(opts).dump();
+    EXPECT_EQ(observe.find("respond."), std::string::npos);
+    const std::size_t at = observe.find("seed=");
+    ASSERT_NE(at, std::string::npos);
+
+    const std::pair<ResponseLevel, const char*> rungs[] = {
+        {ResponseLevel::RateLimit, "rate-limit"},
+        {ResponseLevel::TemporalPartition, "temporal-partition"},
+        {ResponseLevel::Quarantine, "quarantine"},
+    };
+    for (const auto& [level, name] : rungs) {
+        opts.response.level = level;
+        std::string expected = observe;
+        expected.insert(at, std::string("respond.bus_lock_interval=100000\n"
+                                        "respond.level=") +
+                                name +
+                                "\nrespond.throttle_active=1\n"
+                                "respond.throttle_period=4\n");
+        EXPECT_EQ(scenarioConfig(opts).dump(), expected) << name;
+    }
+}
+
 } // namespace
 } // namespace cchunter

@@ -91,7 +91,6 @@ TEST(UnitRegistryTest, DescriptorsCarryCompletePolicies)
             EXPECT_GT(d.deltaT, 0u) << d.name;
         else
             EXPECT_EQ(d.deltaT, 0u) << d.name;
-        EXPECT_NE(d.mitigation, MitigationKind::None) << d.name;
     }
 }
 
@@ -233,9 +232,10 @@ TEST(UnitRegistryTest, BenignPairingsCoverEveryOscillationUnit)
 
 TEST(UnitRegistryTest, MitigationRecommendationsComeFromDescriptors)
 {
-    const UnitRegistry& registry = UnitRegistry::instance();
-    EXPECT_EQ(registry.require(MonitorTarget::MemoryBus).mitigation,
-              MitigationKind::RateLimitBusLocks);
-    EXPECT_EQ(registry.require(MonitorTarget::Tlb).mitigation,
-              MitigationKind::UnshareCore);
+    // Only the bus channel is rate-limited at the bus; every other
+    // unit's rate-limit rung throttles the spy's context.
+    for (const UnitDescriptor& d :
+         UnitRegistry::instance().descriptors())
+        EXPECT_EQ(d.rateLimitAtBus, d.id == MonitorTarget::MemoryBus)
+            << d.name;
 }
