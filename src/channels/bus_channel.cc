@@ -35,24 +35,22 @@ BusTrojan::nextAction(const ExecView& view)
     if (now < t.start)
         return Action::sleepUntil(t.start);
 
-    const std::size_t bit = t.bitIndexAt(now);
-    if (!params_.repeat && bit >= params_.message.size())
+    const BitSlot slot = t.slotAt(now);
+    if (!params_.repeat && slot.index >= params_.message.size())
         return Action::halt();
 
-    if (bit != lastBit_) {
-        lastBit_ = bit;
+    if (slot.index != lastBit_) {
+        lastBit_ = slot.index;
         ++bitsSignalled_;
-        nextLockAt_ = t.signalStart(bit);
+        nextLockAt_ = slot.signalStart;
     }
 
-    const bool value = params_.message.bitCyclic(bit);
-    const Tick signal_end = t.signalEnd(bit);
-    if (!value || now >= signal_end) {
+    const bool value = params_.message.bitCyclic(slot.index);
+    if (!value || now >= slot.signalEnd) {
         // Dormant.  With evasion enabled, emit jittered decoy locks
         // instead of staying silent.
-        const Tick next_bit = t.bitStart(bit + 1);
         if (params_.evasionLockPeriod == 0)
-            return Action::sleepUntil(next_bit);
+            return Action::sleepUntil(slot.nextStart);
         if (now >= nextDecoyAt_) {
             nextDecoyAt_ =
                 now + params_.evasionLockPeriod / 2 +
@@ -61,13 +59,13 @@ BusTrojan::nextAction(const ExecView& view)
             return Action::lockedAccess(nextUnalignedAddr());
         }
         return Action::sleepUntil(
-            std::min(nextDecoyAt_, next_bit));
+            std::min(nextDecoyAt_, slot.nextStart));
     }
 
-    if (now < t.signalStart(bit))
-        return Action::sleepUntil(t.signalStart(bit));
+    if (now < slot.signalStart)
+        return Action::sleepUntil(slot.signalStart);
     if (now < nextLockAt_) {
-        const Tick pad = std::min(nextLockAt_, signal_end) - now;
+        const Tick pad = std::min(nextLockAt_, slot.signalEnd) - now;
         return Action::compute(static_cast<Cycles>(pad));
     }
     nextLockAt_ = now + params_.lockPeriod;

@@ -24,15 +24,15 @@ DividerTrojan::nextAction(const ExecView& view)
     if (now < t.start)
         return Action::sleepUntil(t.start);
 
-    const std::size_t bit = t.bitIndexAt(now);
-    if (!params_.repeat && bit >= params_.message.size())
+    const BitSlot slot = t.slotAt(now);
+    if (!params_.repeat && slot.index >= params_.message.size())
         return Action::halt();
 
-    const bool value = params_.message.bitCyclic(bit);
-    if (!value || now >= t.signalEnd(bit))
-        return Action::sleepUntil(t.bitStart(bit + 1));
-    if (now < t.signalStart(bit))
-        return Action::sleepUntil(t.signalStart(bit));
+    const bool value = params_.message.bitCyclic(slot.index);
+    if (!value || now >= slot.signalEnd)
+        return Action::sleepUntil(slot.nextStart);
+    if (now < slot.signalStart)
+        return Action::sleepUntil(slot.signalStart);
 
     opsIssued_ += params_.chunkOps;
     return params_.useMultiplier

@@ -75,19 +75,18 @@ PrimeProbeTrojan::nextAction(const ExecView& view)
     if (now < t.start)
         return Action::sleepUntil(t.start);
 
-    const std::size_t bit = t.bitIndexAt(now);
+    const BitSlot slot = t.slotAt(now);
+    const std::size_t bit = slot.index;
     if (!params_.repeat && bit >= params_.message.size())
         return Action::halt();
 
-    const Tick win_start = t.signalStart(bit);
-    const Tick win_end = win_start + t.activeTicks(bit);
-    if (now >= win_end)
-        return Action::sleepUntil(t.bitStart(bit + 1));
-    if (now < win_start)
-        return Action::sleepUntil(win_start);
+    if (now >= slot.signalEnd)
+        return Action::sleepUntil(slot.nextStart);
+    if (now < slot.signalStart)
+        return Action::sleepUntil(slot.signalStart);
 
-    const Round r =
-        roundAt(bit, now, win_start, win_end, params_.roundsPerBit);
+    const Round r = roundAt(bit, now, slot.signalStart, slot.signalEnd,
+                            params_.roundsPerBit);
     if (r.key != lastRoundKey_) {
         lastRoundKey_ = r.key;
         primeCursor_ = 0;
@@ -96,7 +95,7 @@ PrimeProbeTrojan::nextAction(const ExecView& view)
     const PrimeProbeLayout& l = params_.layout;
     const std::size_t per_group = l.setsPerGroup();
     if (primeCursor_ >= per_group * l.primeDepth || now >= r.half)
-        return Action::sleepUntil(r.last ? t.bitStart(bit + 1) : r.next);
+        return Action::sleepUntil(r.last ? slot.nextStart : r.next);
 
     // Depth-major: visit every set at depth d before moving to d+1, so
     // the spy's (most recently used) entries are displaced in one
@@ -153,7 +152,8 @@ PrimeProbeSpy::nextAction(const ExecView& view)
     if (now < t.start)
         return Action::sleepUntil(t.start);
 
-    const std::size_t bit = t.bitIndexAt(now);
+    const BitSlot slot = t.slotAt(now);
+    const std::size_t bit = slot.index;
     if (bit != lastBit_) {
         finishBit();
         lastBit_ = bit;
@@ -164,8 +164,6 @@ PrimeProbeSpy::nextAction(const ExecView& view)
     // like the embedding cover program: sparse random reads, not pure
     // sleep.
     const PrimeProbeLayout& l = params_.layout;
-    const Tick win_start = t.signalStart(bit);
-    const Tick win_end = win_start + t.activeTicks(bit);
     auto dormant_until = [&](Tick until) -> Action {
         if (params_.dormantNoiseGap == 0)
             return Action::sleepUntil(until);
@@ -177,13 +175,13 @@ PrimeProbeSpy::nextAction(const ExecView& view)
         }
         return Action::sleepUntil(std::min(nextDormantRead_, until));
     };
-    if (now >= win_end)
-        return dormant_until(t.bitStart(bit + 1));
-    if (now < win_start)
-        return dormant_until(win_start);
+    if (now >= slot.signalEnd)
+        return dormant_until(slot.nextStart);
+    if (now < slot.signalStart)
+        return dormant_until(slot.signalStart);
 
-    const Round r =
-        roundAt(bit, now, win_start, win_end, params_.roundsPerBit);
+    const Round r = roundAt(bit, now, slot.signalStart, slot.signalEnd,
+                            params_.roundsPerBit);
     if (r.key != lastRoundKey_) {
         lastRoundKey_ = r.key;
         probeCursor_ = 0;
@@ -197,7 +195,7 @@ PrimeProbeSpy::nextAction(const ExecView& view)
         if (!r.last)
             return Action::sleepUntil(r.next);
         finishBit();
-        return dormant_until(t.bitStart(bit + 1));
+        return dormant_until(slot.nextStart);
     }
 
     // Occasional "surrounding code" accesses: random entries that may

@@ -67,17 +67,17 @@ class SlotSampler
     {
         if (now < t.start)
             return Action::sleepUntil(t.start);
-        const std::size_t slot = t.bitIndexAt(now);
-        if (slot != currentSlot_) {
+        const BitSlot slot = t.slotAt(now);
+        if (slot.index != currentSlot_) {
             finishSlot(decide);
-            currentSlot_ = slot;
+            currentSlot_ = slot.index;
         }
-        if (now >= t.signalEnd(slot)) {
+        if (now >= slot.signalEnd) {
             finishSlot(decide);
-            return Action::sleepUntil(t.bitStart(slot + 1));
+            return Action::sleepUntil(slot.nextStart);
         }
-        if (now < t.signalStart(slot))
-            return Action::sleepUntil(t.signalStart(slot));
+        if (now < slot.signalStart)
+            return Action::sleepUntil(slot.signalStart);
         return std::nullopt;
     }
 

@@ -20,26 +20,38 @@ classicBitTicks(double ghz, double bandwidthBps)
     return ticks < 1.0 ? 1 : static_cast<Tick>(ticks);
 }
 
-} // namespace
-
+/** Ticks per slot, from the classic bit period. */
 Tick
-ChannelTiming::bitTicks() const
+slotTicks(const EvasionPlan& evasion, Tick classic)
 {
-    const Tick classic = classicBitTicks(ghz, bandwidthBps);
     if (evasion.strategy == EvasionStrategy::LowAndSlow)
         return classic * static_cast<Tick>(evasion.stretch);
     return classic;
 }
 
+/** Signal window length, from the classic bit period.  The burst
+ *  keeps its classic length even when LowAndSlow stretches the slot --
+ *  that is the whole point of the strategy. */
+Tick
+windowTicks(Tick maxSignalTicks, Tick classic)
+{
+    if (maxSignalTicks == 0 || maxSignalTicks > classic)
+        return classic;
+    return maxSignalTicks;
+}
+
+} // namespace
+
+Tick
+ChannelTiming::bitTicks() const
+{
+    return slotTicks(evasion, classicBitTicks(ghz, bandwidthBps));
+}
+
 Tick
 ChannelTiming::signalTicks() const
 {
-    // The burst keeps its classic length even when LowAndSlow
-    // stretches the slot — that is the whole point of the strategy.
-    const Tick bit = classicBitTicks(ghz, bandwidthBps);
-    if (maxSignalTicks == 0 || maxSignalTicks > bit)
-        return bit;
-    return maxSignalTicks;
+    return windowTicks(maxSignalTicks, classicBitTicks(ghz, bandwidthBps));
 }
 
 std::size_t
@@ -50,66 +62,52 @@ ChannelTiming::bitIndexAt(Tick now) const
     return static_cast<std::size_t>((now - start) / bitTicks());
 }
 
-Tick
-ChannelTiming::bitStart(std::size_t i) const
+BitSlot
+ChannelTiming::slotAt(Tick now) const
 {
-    return start + static_cast<Tick>(i) * bitTicks();
-}
+    const Tick classic = classicBitTicks(ghz, bandwidthBps);
+    const Tick slot = slotTicks(evasion, classic);
+    const Tick signal = windowTicks(maxSignalTicks, classic);
 
-Tick
-ChannelTiming::signalStart(std::size_t i) const
-{
+    BitSlot s;
+    s.index = now <= start
+                  ? 0
+                  : static_cast<std::size_t>((now - start) / slot);
+    const Tick slot_start = start + static_cast<Tick>(s.index) * slot;
+    s.nextStart = slot_start + slot;
+
+    Tick active = signal;
+    s.signalStart = slot_start;
     switch (evasion.strategy) {
     case EvasionStrategy::None:
-    case EvasionStrategy::DutyCycle:
-        return bitStart(i);
+        break;
+    case EvasionStrategy::DutyCycle: {
+        // Randomized duty: each bit's burst width is drawn from the
+        // plan's duty range, breaking the constant on/off train the
+        // classic autocorrelation indicator keys on.
+        const double duty =
+            evasion.dutyMin +
+            evasion.bitUnit(s.index) * (evasion.dutyMax - evasion.dutyMin);
+        active = std::max<Tick>(
+            1, static_cast<Tick>(static_cast<double>(signal) * duty));
+        break;
+    }
     case EvasionStrategy::RandomGaps:
     case EvasionStrategy::LowAndSlow: {
         // Jittered pacing: the burst starts at a seeded random offset
         // inside the slot's idle slack, so inter-burst gaps lose their
         // fixed period.  Both ends derive the same offset from the
         // shared plan.
-        const Tick slot = bitTicks();
-        const Tick active = activeTicks(i);
         const Tick slack = slot > active ? slot - active : 0;
         const double span =
             static_cast<double>(slack) * evasion.gapJitter;
-        const Tick offset =
-            static_cast<Tick>(span * evasion.bitUnit(i));
-        return bitStart(i) + offset;
+        s.signalStart +=
+            static_cast<Tick>(span * evasion.bitUnit(s.index));
+        break;
     }
     }
-    return bitStart(i);
-}
-
-Tick
-ChannelTiming::activeTicks(std::size_t i) const
-{
-    if (evasion.strategy != EvasionStrategy::DutyCycle)
-        return signalTicks();
-    // Randomized duty: each bit's burst width is drawn from the plan's
-    // duty range, breaking the constant on/off train the classic
-    // autocorrelation indicator keys on.
-    const double duty =
-        evasion.dutyMin +
-        evasion.bitUnit(i) * (evasion.dutyMax - evasion.dutyMin);
-    const double active = static_cast<double>(signalTicks()) * duty;
-    return std::max<Tick>(1, static_cast<Tick>(active));
-}
-
-Tick
-ChannelTiming::signalEnd(std::size_t i) const
-{
-    return signalStart(i) + activeTicks(i);
-}
-
-bool
-ChannelTiming::inSignalWindow(Tick now) const
-{
-    if (now < start)
-        return false;
-    const std::size_t bit = bitIndexAt(now);
-    return now >= signalStart(bit) && now < signalEnd(bit);
+    s.signalEnd = s.signalStart + active;
+    return s;
 }
 
 } // namespace cchunter

@@ -27,6 +27,16 @@
 namespace cchunter
 {
 
+/** Where a tick falls in the schedule: its bit slot and that slot's
+ *  signalling window. */
+struct BitSlot
+{
+    std::size_t index = 0; //!< bit slot containing the tick
+    Tick signalStart = 0;  //!< start of the slot's signal window
+    Tick signalEnd = 0;    //!< end (exclusive) of the signal window
+    Tick nextStart = 0;    //!< start of the next bit slot
+};
+
 /** Transmission schedule shared by a trojan/spy pair. */
 struct ChannelTiming
 {
@@ -53,22 +63,14 @@ struct ChannelTiming
     /** Index of the bit slot containing `now`. */
     std::size_t bitIndexAt(Tick now) const;
 
-    /** Start tick of bit slot i. */
-    Tick bitStart(std::size_t i) const;
-
-    /** Start of the signalling window of bit slot i (== bitStart(i)
-     *  under the classic schedule; jittered under evasion). */
-    Tick signalStart(std::size_t i) const;
-
-    /** Active signalling ticks of bit slot i (== signalTicks() unless
-     *  the duty is jittered). */
-    Tick activeTicks(std::size_t i) const;
-
-    /** End of the signalling window of bit slot i. */
-    Tick signalEnd(std::size_t i) const;
-
-    /** @return true when `now` lies inside bit i's signal window. */
-    bool inSignalWindow(Tick now) const;
+    /**
+     * The bit slot containing `now` and its signal window.  The window
+     * starts at the slot start under the classic schedule (jittered
+     * under RandomGaps and LowAndSlow) and lasts signalTicks() (drawn
+     * per bit under DutyCycle).  One query evaluates the bit period
+     * once.
+     */
+    BitSlot slotAt(Tick now) const;
 };
 
 } // namespace cchunter

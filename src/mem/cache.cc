@@ -1,6 +1,6 @@
 #include "mem/cache.hh"
 
-#include <limits>
+#include <bit>
 
 #include "util/logging.hh"
 
@@ -10,7 +10,7 @@ namespace cchunter
 Cache::Cache(std::string name, CacheGeometry geometry)
     : name_(std::move(name)), geom_(geometry)
 {
-    if (geom_.lineSize == 0 || (geom_.lineSize & (geom_.lineSize - 1)))
+    if (geom_.lineSize < 2 || !std::has_single_bit(geom_.lineSize))
         fatal("Cache ", name_, ": line size must be a power of two");
     if (geom_.associativity == 0)
         fatal("Cache ", name_, ": associativity must be positive");
@@ -18,37 +18,25 @@ Cache::Cache(std::string name, CacheGeometry geometry)
         fatal("Cache ", name_, ": size not divisible into sets");
     if (geom_.numSets() == 0)
         fatal("Cache ", name_, ": zero sets");
-    blocks_.assign(geom_.numBlocks(), Block{});
+    if (!std::has_single_bit(geom_.numSets()))
+        fatal("Cache ", name_, ": set count ", geom_.numSets(),
+              " must be a power of two");
+    lineShift_ = static_cast<unsigned>(std::countr_zero(geom_.lineSize));
+    setMask_ = geom_.numSets() - 1;
+    tags_.assign(geom_.numBlocks(), invalidTag);
+    ages_.assign(geom_.numBlocks(), 0);
+    owners_.assign(geom_.numBlocks(), invalidContext);
 }
 
 std::size_t
-Cache::findWay(std::size_t set, Addr line) const
+Cache::findBlock(Addr addr) const
 {
-    const std::size_t base = set * geom_.associativity;
-    for (std::size_t w = 0; w < geom_.associativity; ++w) {
-        const Block& b = blocks_[base + w];
-        if (b.valid && b.lineAddr == line)
-            return w;
-    }
-    return geom_.associativity; // not found
-}
-
-std::size_t
-Cache::victimWay(std::size_t set) const
-{
-    const std::size_t base = set * geom_.associativity;
-    std::size_t victim = 0;
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t w = 0; w < geom_.associativity; ++w) {
-        const Block& b = blocks_[base + w];
-        if (!b.valid)
-            return w; // prefer invalid ways
-        if (b.lastUse < oldest) {
-            oldest = b.lastUse;
-            victim = w;
-        }
-    }
-    return victim;
+    const Addr line = lineAddr(addr);
+    const std::size_t base = setIndex(addr) * geom_.associativity;
+    for (std::size_t b = base; b < base + geom_.associativity; ++b)
+        if (tags_[b] == line)
+            return b;
+    return tags_.size();
 }
 
 CacheAccessResult
@@ -56,80 +44,82 @@ Cache::access(Addr addr, ContextId ctx, Tick now)
 {
     CacheAccessResult result;
     const Addr line = lineAddr(addr);
-    const std::size_t set = setIndex(addr);
-    const std::size_t base = set * geom_.associativity;
+    const std::size_t base = setIndex(addr) * geom_.associativity;
+    const std::size_t end = base + geom_.associativity;
 
-    std::size_t way = findWay(set, line);
-    if (way != geom_.associativity) {
-        // Hit.
-        result.hit = true;
-        Block& b = blocks_[base + way];
-        b.lastUse = ++useCounter_;
-        b.owner = ctx;
-        ++hits_;
-        if (monitor_)
-            monitor_->onAccess(base + way, line, ctx, now);
-        return result;
+    // One pass: the hit, else the victim.  Invalid ways keep age 0 and
+    // valid ones are aged from 1, so the first minimum-age way is the
+    // first invalid way, or the least-recently-used one when the set
+    // is full.
+    std::size_t victim = base;
+    for (std::size_t b = base; b < end; ++b) {
+        if (tags_[b] == line) {
+            result.hit = true;
+            result.block = b;
+            ages_[b] = ++useCounter_;
+            owners_[b] = ctx;
+            ++hits_;
+            if (monitor_)
+                monitor_->onAccess(b, line, ctx, now);
+            return result;
+        }
+        if (ages_[b] < ages_[victim])
+            victim = b;
     }
 
-    // Miss: pick a victim and fill.
+    // Miss: fill the victim.
     ++misses_;
-    way = victimWay(set);
-    Block& b = blocks_[base + way];
-    if (b.valid) {
+    const bool had_victim = tags_[victim] != invalidTag;
+    result.block = victim;
+    if (had_victim) {
         result.evicted = true;
-        result.evictedLineAddr = b.lineAddr;
-        result.evictedOwner = b.owner;
+        result.evictedLineAddr = tags_[victim];
+        result.evictedOwner = owners_[victim];
         ++evictions_;
     }
     if (monitor_) {
-        monitor_->onMiss(line, ctx, b.owner, b.valid, now);
-        if (b.valid)
-            monitor_->onEvict(base + way, b.lineAddr, b.owner, now);
+        monitor_->onMiss(line, ctx, result.evictedOwner, had_victim, now);
+        if (had_victim)
+            monitor_->onEvict(victim, result.evictedLineAddr,
+                              result.evictedOwner, now);
     }
-    b.valid = true;
-    b.lineAddr = line;
-    b.owner = ctx;
-    b.lastUse = ++useCounter_;
+    tags_[victim] = line;
+    owners_[victim] = ctx;
+    ages_[victim] = ++useCounter_;
     if (monitor_)
-        monitor_->onAccess(base + way, line, ctx, now);
+        monitor_->onAccess(victim, line, ctx, now);
     return result;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    return findWay(setIndex(addr), lineAddr(addr)) !=
-           geom_.associativity;
+    return findBlock(addr) != tags_.size();
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    const Addr line = lineAddr(addr);
-    const std::size_t set = setIndex(addr);
-    const std::size_t way = findWay(set, line);
-    if (way == geom_.associativity)
+    const std::size_t b = findBlock(addr);
+    if (b == tags_.size())
         return false;
-    blocks_[set * geom_.associativity + way] = Block{};
+    tags_[b] = invalidTag;
+    ages_[b] = 0;
     return true;
 }
 
 void
 Cache::flush()
 {
-    for (auto& b : blocks_)
-        b = Block{};
+    tags_.assign(tags_.size(), invalidTag);
+    ages_.assign(ages_.size(), 0);
 }
 
 ContextId
 Cache::ownerOf(Addr addr) const
 {
-    const std::size_t set = setIndex(addr);
-    const std::size_t way = findWay(set, lineAddr(addr));
-    if (way == geom_.associativity)
-        return invalidContext;
-    return blocks_[set * geom_.associativity + way].owner;
+    const std::size_t b = findBlock(addr);
+    return b == tags_.size() ? invalidContext : owners_[b];
 }
 
 } // namespace cchunter

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -82,14 +83,22 @@ struct CacheAccessResult
     bool evicted = false;          //!< a valid block was displaced
     Addr evictedLineAddr = 0;      //!< line address of the victim
     ContextId evictedOwner = invalidContext;
+    std::size_t block = 0;         //!< set * assoc + way hit or filled
 };
 
 /**
  * Set-associative, write-allocate cache with true-LRU replacement.
+ *
+ * The set count and line size must be powers of two, so the set index
+ * is a shift and a mask.  Tags, LRU ages and owners live in separate
+ * set-major arrays; an invalid way holds invalidTag and age 0.
  */
 class Cache
 {
   public:
+    /** Fatal unless the line size and the set count are powers of
+     *  two (the line size at least 2, so no line address is
+     *  invalidTag). */
     Cache(std::string name, CacheGeometry geometry);
 
     /**
@@ -129,7 +138,7 @@ class Cache
     std::size_t
     setIndex(Addr addr) const
     {
-        return (addr / geom_.lineSize) % geom_.numSets();
+        return static_cast<std::size_t>(addr >> lineShift_) & setMask_;
     }
 
     /** Lifetime statistics. */
@@ -138,20 +147,20 @@ class Cache
     std::uint64_t evictions() const { return evictions_; }
 
   private:
-    struct Block
-    {
-        bool valid = false;
-        Addr lineAddr = 0;
-        ContextId owner = invalidContext;
-        std::uint64_t lastUse = 0; //!< LRU timestamp (access sequence)
-    };
+    /** Tag of an invalid way; never a line-aligned address. */
+    static constexpr Addr invalidTag = std::numeric_limits<Addr>::max();
 
-    std::size_t findWay(std::size_t set, Addr line) const;
-    std::size_t victimWay(std::size_t set) const;
+    /** Block index holding `addr`'s line, or numBlocks() if absent. */
+    std::size_t findBlock(Addr addr) const;
 
     std::string name_;
     CacheGeometry geom_;
-    std::vector<Block> blocks_; //!< set-major storage
+    unsigned lineShift_ = 0;
+    std::size_t setMask_ = 0;
+    // Set-major block storage, one array per field.
+    std::vector<Addr> tags_;           //!< line address or invalidTag
+    std::vector<std::uint64_t> ages_;  //!< use sequence; 0 when invalid
+    std::vector<ContextId> owners_;
     std::uint64_t useCounter_ = 0;
     CacheMonitor* monitor_ = nullptr;
     std::uint64_t hits_ = 0;

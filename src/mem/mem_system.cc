@@ -1,5 +1,6 @@
 #include "mem/mem_system.hh"
 
+#include <bit>
 #include <string>
 
 #include "util/logging.hh"
@@ -12,6 +13,9 @@ MemSystem::MemSystem(MemSystemParams params)
 {
     if (params_.numCores == 0 || params_.threadsPerCore == 0)
         fatal("MemSystem: need at least one core and one thread");
+    if (params_.threadsPerCore > 8)
+        fatal("MemSystem: at most 8 threads per core (one L1-presence "
+              "bit each), got ", params_.threadsPerCore);
     const unsigned contexts = numContexts();
     if (contexts > 8)
         warn("MemSystem: more than 8 contexts; the paper's 3-bit owner "
@@ -22,6 +26,8 @@ MemSystem::MemSystem(MemSystemParams params)
     for (unsigned c = 0; c < params_.numCores; ++c)
         l2s_.push_back(std::make_unique<Cache>(
             "l2." + std::to_string(c), params_.l2));
+    l2Blocks_ = params_.l2.numBlocks();
+    l1Presence_.assign(params_.numCores * l2Blocks_, 0);
     if (params_.tlb.enabled)
         for (unsigned c = 0; c < params_.numCores; ++c)
             tlbs_.push_back(std::make_unique<Tlb>(
@@ -45,6 +51,23 @@ MemSystem::translate(MemAccessOutcome& out, unsigned core,
     const TlbOutcome t = tlbs_[core]->translate(addr, ctx, now);
     out.tlbWalkCycles += t.latency;
     out.latency += t.latency;
+}
+
+void
+MemSystem::trackL2(unsigned core, ContextId ctx, const CacheAccessResult& r2)
+{
+    const unsigned first = core * params_.threadsPerCore;
+    const auto self = static_cast<std::uint8_t>(1u << (ctx - first));
+    std::uint8_t& present = l1Presence_[core * l2Blocks_ + r2.block];
+    if (r2.hit) {
+        present |= self;
+        return;
+    }
+    if (r2.evicted)
+        for (unsigned bits = present; bits != 0; bits &= bits - 1)
+            l1s_[first + std::countr_zero(bits)]->invalidate(
+                r2.evictedLineAddr);
+    present = self;
 }
 
 Cache&
@@ -88,20 +111,14 @@ MemSystem::access(ContextId ctx, Addr addr, bool write, Tick now)
         return out;
     }
     // L1 miss: evicted L1 lines need no write-back handling in this
-    // timing model.
+    // timing model.  An L2 fill may evict another line, which
+    // inclusion invalidates in this core's L1s.
     const CacheAccessResult r2 = l2c.access(addr, ctx, now);
+    trackL2(core, ctx, r2);
     if (r2.hit) {
         out.l2Hit = true;
         out.latency += params_.l1HitCycles + params_.l2HitCycles;
         return out;
-    }
-    // L2 miss: the fill may have evicted another line from L2; enforce
-    // inclusion by invalidating that line in every L1 of this core.
-    if (r2.evicted) {
-        const unsigned first = core * params_.threadsPerCore;
-        for (unsigned t = 0; t < params_.threadsPerCore; ++t)
-            l1(static_cast<ContextId>(first + t))
-                .invalidate(r2.evictedLineAddr);
     }
     // Fetch from DRAM across the shared bus.
     const Tick bus_done = bus_.transfer(ctx, now);
@@ -119,23 +136,16 @@ MemSystem::lockedAccess(ContextId ctx, Addr addr, Tick now)
     // Touch both lines the unaligned access spans so that the cache
     // state reflects the two-line footprint.
     Cache& l1c = l1(ctx);
-    Cache& l2c = l2ForContext(ctx);
+    const unsigned core = coreOf(ctx);
+    Cache& l2c = l2(core);
     const Addr second = addr + l1c.geometry().lineSize;
-    translate(out, coreOf(ctx), ctx, addr, now);
+    translate(out, core, ctx, addr, now);
     if (!tlbs_.empty() &&
-        tlbs_[coreOf(ctx)]->pageNumber(second) !=
-            tlbs_[coreOf(ctx)]->pageNumber(addr))
-        translate(out, coreOf(ctx), ctx, second, now);
+        tlbs_[core]->pageNumber(second) != tlbs_[core]->pageNumber(addr))
+        translate(out, core, ctx, second, now);
     for (Addr a : {addr, second}) {
         l1c.access(a, ctx, now);
-        const CacheAccessResult r2 = l2c.access(a, ctx, now);
-        if (r2.evicted) {
-            const unsigned first =
-                coreOf(ctx) * params_.threadsPerCore;
-            for (unsigned t = 0; t < params_.threadsPerCore; ++t)
-                l1(static_cast<ContextId>(first + t))
-                    .invalidate(r2.evictedLineAddr);
-        }
+        trackL2(core, ctx, l2c.access(a, ctx, now));
     }
     // The locked transaction itself: exclusive bus ownership.
     const Tick done = bus_.lockedTransfer(ctx, now);

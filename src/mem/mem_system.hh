@@ -6,12 +6,17 @@
  * The L2 is inclusive of its L1s: when the L2 evicts a line it
  * back-invalidates the copies in the core's L1s, so an L2 conflict
  * eviction (the cache covert channel's mechanism) is observable by the
- * victim as a full miss.
+ * victim as a full miss.  Each L2 block carries one L1-presence bit per
+ * SMT thread, a superset of the L1s that hold its line, so a
+ * back-invalidation visits only those L1s.  The superset holds because
+ * every L1 fill goes through access() or lockedAccess(); the l1() and
+ * l2() references are for monitors and statistics, not for fills.
  */
 
 #ifndef CCHUNTER_MEM_MEM_SYSTEM_HH
 #define CCHUNTER_MEM_MEM_SYSTEM_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -113,9 +118,18 @@ class MemSystem
     void translate(MemAccessOutcome& out, unsigned core, ContextId ctx,
                    Addr addr, Tick now);
 
+    /** Account for `ctx`'s access `r2` to its core's L2: set its
+     *  presence bit on a hit; on a fill, back-invalidate the victim
+     *  from the L1s whose bit is set, then leave only `ctx`'s bit. */
+    void trackL2(unsigned core, ContextId ctx, const CacheAccessResult& r2);
+
     std::vector<std::unique_ptr<Cache>> l1s_; //!< one per context
     std::vector<std::unique_ptr<Cache>> l2s_; //!< one per core
     std::vector<std::unique_ptr<Tlb>> tlbs_;  //!< per core, if enabled
+    /** Per L2 block, core-major: bit t set when thread t's L1 may hold
+     *  the block's line. */
+    std::vector<std::uint8_t> l1Presence_;
+    std::size_t l2Blocks_ = 0;
     MemoryBus bus_;
     Dram dram_;
 };

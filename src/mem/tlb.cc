@@ -1,5 +1,7 @@
 #include "mem/tlb.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace cchunter
@@ -15,37 +17,18 @@ Tlb::Tlb(std::string name, TlbParams params)
     if (params_.entries % params_.associativity != 0)
         fatal("Tlb ", name_,
               ": entries must be a multiple of associativity");
-    entries_.resize(params_.entries);
-}
-
-std::size_t
-Tlb::findWay(std::size_t set, std::uint64_t page) const
-{
-    const std::size_t base = set * params_.associativity;
-    for (std::size_t w = 0; w < params_.associativity; ++w) {
-        const Entry& e = entries_[base + w];
-        if (e.valid && e.page == page)
-            return w;
-    }
-    return params_.associativity;
-}
-
-std::size_t
-Tlb::victimWay(std::size_t set) const
-{
-    const std::size_t base = set * params_.associativity;
-    std::size_t victim = 0;
-    std::uint64_t oldest = entries_[base].lastUse;
-    for (std::size_t w = 0; w < params_.associativity; ++w) {
-        const Entry& e = entries_[base + w];
-        if (!e.valid)
-            return w;
-        if (e.lastUse < oldest) {
-            oldest = e.lastUse;
-            victim = w;
-        }
-    }
-    return victim;
+    if (params_.pageBytes < 2 || !std::has_single_bit(params_.pageBytes))
+        fatal("Tlb ", name_, ": page size ", params_.pageBytes,
+              " must be a power of two");
+    if (!std::has_single_bit(params_.numSets()))
+        fatal("Tlb ", name_, ": set count ", params_.numSets(),
+              " must be a power of two");
+    pageShift_ =
+        static_cast<unsigned>(std::countr_zero(params_.pageBytes));
+    setMask_ = params_.numSets() - 1;
+    pages_.assign(params_.entries, invalidPage);
+    ages_.assign(params_.entries, 0);
+    owners_.assign(params_.entries, invalidContext);
 }
 
 TlbOutcome
@@ -53,51 +36,56 @@ Tlb::translate(Addr addr, ContextId ctx, Tick now)
 {
     TlbOutcome out;
     const std::uint64_t page = pageNumber(addr);
-    const std::size_t set = setIndex(addr);
-    const std::size_t base = set * params_.associativity;
+    const std::size_t base = setIndex(addr) * params_.associativity;
+    const std::size_t end = base + params_.associativity;
 
-    const std::size_t way = findWay(set, page);
-    if (way < params_.associativity) {
-        Entry& e = entries_[base + way];
-        e.lastUse = ++useCounter_;
-        e.owner = ctx;
-        ++hits_;
-        out.hit = true;
-        return out;
+    // One pass, as in Cache::access: the hit, else the first
+    // minimum-age way (the first invalid one, else the LRU one).
+    std::size_t victim = base;
+    for (std::size_t e = base; e < end; ++e) {
+        if (pages_[e] == page) {
+            ages_[e] = ++useCounter_;
+            owners_[e] = ctx;
+            ++hits_;
+            out.hit = true;
+            return out;
+        }
+        if (ages_[e] < ages_[victim])
+            victim = e;
     }
 
-    // Miss: walk the page table and fill, evicting the LRU way when the
-    // set is full.  A displacement of another context's entry is the
-    // auditable conflict.
+    // Miss: walk the page table and fill.  A displacement of another
+    // context's entry is the auditable conflict.
     ++misses_;
     out.latency = params_.missCycles;
-    const std::size_t victim = victimWay(set);
-    Entry& e = entries_[base + victim];
-    if (e.valid && e.owner != ctx) {
+    if (pages_[victim] != invalidPage && owners_[victim] != ctx) {
         ++conflicts_;
-        const TlbConflict conflict{now, ctx, e.owner};
+        const TlbConflict conflict{now, ctx, owners_[victim]};
         for (const auto& listener : listeners_)
             listener(conflict);
     }
-    e.valid = true;
-    e.page = page;
-    e.owner = ctx;
-    e.lastUse = ++useCounter_;
+    pages_[victim] = page;
+    owners_[victim] = ctx;
+    ages_[victim] = ++useCounter_;
     return out;
 }
 
 bool
 Tlb::probe(Addr addr) const
 {
-    return findWay(setIndex(addr), pageNumber(addr)) <
-           params_.associativity;
+    const std::uint64_t page = pageNumber(addr);
+    const std::size_t base = setIndex(addr) * params_.associativity;
+    for (std::size_t e = base; e < base + params_.associativity; ++e)
+        if (pages_[e] == page)
+            return true;
+    return false;
 }
 
 void
 Tlb::flush()
 {
-    for (Entry& e : entries_)
-        e.valid = false;
+    pages_.assign(pages_.size(), invalidPage);
+    ages_.assign(ages_.size(), 0);
 }
 
 void

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,8 @@ struct TlbParams
 
     std::size_t associativity = 4;
 
-    /** Page size; the set index is pageNumber % numSets. */
+    /** Page size, a power of two like numSets(); the set index is
+     *  pageNumber % numSets. */
     std::size_t pageBytes = 4096;
 
     /** Page-walk latency charged on a TLB miss. */
@@ -74,11 +76,15 @@ struct TlbOutcome
 };
 
 /**
- * Set-associative, true-LRU TLB with per-entry owner context metadata.
+ * Set-associative, true-LRU TLB with per-entry owner context metadata,
+ * laid out and scanned like Cache: power-of-two page size and set
+ * count, separate page/age/owner arrays, one pass per translation.
  */
 class Tlb
 {
   public:
+    /** Fatal unless the page size (at least 2) and the set count are
+     *  powers of two. */
     Tlb(std::string name, TlbParams params);
 
     /** Translate `addr` for context `ctx`; fills on a miss. */
@@ -105,31 +111,29 @@ class Tlb
     std::uint64_t
     pageNumber(Addr addr) const
     {
-        return addr / params_.pageBytes;
+        return addr >> pageShift_;
     }
 
     /** Set index of a byte address. */
     std::size_t
     setIndex(Addr addr) const
     {
-        return pageNumber(addr) % params_.numSets();
+        return static_cast<std::size_t>(pageNumber(addr)) & setMask_;
     }
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        std::uint64_t page = 0;
-        ContextId owner = invalidContext;
-        std::uint64_t lastUse = 0;
-    };
-
-    std::size_t findWay(std::size_t set, std::uint64_t page) const;
-    std::size_t victimWay(std::size_t set) const;
+    /** Page of an invalid entry; no address has this page number. */
+    static constexpr std::uint64_t invalidPage =
+        std::numeric_limits<std::uint64_t>::max();
 
     std::string name_;
     TlbParams params_;
-    std::vector<Entry> entries_; //!< set-major storage
+    unsigned pageShift_ = 0;
+    std::size_t setMask_ = 0;
+    // Set-major entry storage, one array per field.
+    std::vector<std::uint64_t> pages_; //!< page number or invalidPage
+    std::vector<std::uint64_t> ages_;  //!< use sequence; 0 when invalid
+    std::vector<ContextId> owners_;
     std::vector<TlbConflictListener> listeners_;
     std::uint64_t useCounter_ = 0;
     std::uint64_t hits_ = 0;

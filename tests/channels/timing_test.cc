@@ -1,11 +1,83 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "channels/timing.hh"
+#include "util/rng.hh"
 
 namespace cchunter
 {
 namespace
 {
+
+/**
+ * The schedule written field by field, each field re-deriving the bit
+ * period: the oracle for ChannelTiming::slotAt.
+ */
+struct PerFieldSchedule
+{
+    const ChannelTiming& t;
+
+    Tick
+    bitStart(std::size_t i) const
+    {
+        return t.start + static_cast<Tick>(i) * t.bitTicks();
+    }
+
+    Tick
+    activeTicks(std::size_t i) const
+    {
+        if (t.evasion.strategy != EvasionStrategy::DutyCycle)
+            return t.signalTicks();
+        const double duty =
+            t.evasion.dutyMin +
+            t.evasion.bitUnit(i) * (t.evasion.dutyMax - t.evasion.dutyMin);
+        const double active = static_cast<double>(t.signalTicks()) * duty;
+        return std::max<Tick>(1, static_cast<Tick>(active));
+    }
+
+    Tick
+    signalStart(std::size_t i) const
+    {
+        if (t.evasion.strategy != EvasionStrategy::RandomGaps &&
+            t.evasion.strategy != EvasionStrategy::LowAndSlow)
+            return bitStart(i);
+        const Tick slot = t.bitTicks();
+        const Tick active = activeTicks(i);
+        const Tick slack = slot > active ? slot - active : 0;
+        const double span =
+            static_cast<double>(slack) * t.evasion.gapJitter;
+        return bitStart(i) +
+               static_cast<Tick>(span * t.evasion.bitUnit(i));
+    }
+
+    Tick
+    signalEnd(std::size_t i) const
+    {
+        return signalStart(i) + activeTicks(i);
+    }
+};
+
+/** The slot of bit i, queried at its first tick. */
+BitSlot
+slotOf(const ChannelTiming& t, std::size_t i)
+{
+    return t.slotAt(t.start + static_cast<Tick>(i) * t.bitTicks());
+}
+
+Tick
+activeTicks(const BitSlot& s)
+{
+    return s.signalEnd - s.signalStart;
+}
+
+/** @return true when `now` lies inside its bit's signal window. */
+bool
+inSignalWindow(const ChannelTiming& t, Tick now)
+{
+    const BitSlot s = t.slotAt(now);
+    return now >= t.start && now >= s.signalStart && now < s.signalEnd;
+}
 
 TEST(ChannelTimingTest, BitTicksFromBandwidth)
 {
@@ -44,7 +116,8 @@ TEST(ChannelTimingTest, BitIndexing)
     EXPECT_EQ(t.bitIndexAt(1000), 0u);
     EXPECT_EQ(t.bitIndexAt(1000 + 2500000 - 1), 0u);
     EXPECT_EQ(t.bitIndexAt(1000 + 2500000), 1u);
-    EXPECT_EQ(t.bitStart(3), 1000u + 3 * 2500000u);
+    EXPECT_EQ(t.slotAt(1000 + 2 * 2500000).nextStart,
+              1000u + 3 * 2500000u);
 }
 
 TEST(ChannelTimingTest, InSignalWindow)
@@ -53,10 +126,10 @@ TEST(ChannelTimingTest, InSignalWindow)
     t.start = 0;
     t.bandwidthBps = 10.0;     // bit = 250M
     t.maxSignalTicks = 1000000; // 1M signal window
-    EXPECT_TRUE(t.inSignalWindow(0));
-    EXPECT_TRUE(t.inSignalWindow(999999));
-    EXPECT_FALSE(t.inSignalWindow(1000000));
-    EXPECT_TRUE(t.inSignalWindow(250000000));
+    EXPECT_TRUE(inSignalWindow(t, 0));
+    EXPECT_TRUE(inSignalWindow(t, 999999));
+    EXPECT_FALSE(inSignalWindow(t, 1000000));
+    EXPECT_TRUE(inSignalWindow(t, 250000000));
 }
 
 TEST(ChannelTimingTest, InvalidBandwidthThrows)
@@ -82,9 +155,13 @@ TEST(ChannelTimingTest, NonePlanIsScheduleIdentity)
     t.bandwidthBps = 1000.0;
     t.maxSignalTicks = 100000;
     for (std::size_t i = 0; i < 16; ++i) {
-        EXPECT_EQ(t.signalStart(i), t.bitStart(i));
-        EXPECT_EQ(t.activeTicks(i), t.signalTicks());
-        EXPECT_EQ(t.signalEnd(i), t.bitStart(i) + t.signalTicks());
+        const BitSlot s = slotOf(t, i);
+        const Tick bit_start = t.start + i * t.bitTicks();
+        EXPECT_EQ(s.index, i);
+        EXPECT_EQ(s.signalStart, bit_start);
+        EXPECT_EQ(activeTicks(s), t.signalTicks());
+        EXPECT_EQ(s.signalEnd, bit_start + t.signalTicks());
+        EXPECT_EQ(s.nextStart, bit_start + t.bitTicks());
     }
 }
 
@@ -99,10 +176,12 @@ TEST(ChannelTimingTest, RandomGapsJitterWithinTheSlot)
     for (std::size_t i = 0; i < 64; ++i) {
         // The jittered window stays inside its own bit slot, keeps
         // the classic length, and actually moves for some bits.
-        EXPECT_GE(t.signalStart(i), t.bitStart(i)) << i;
-        EXPECT_LE(t.signalEnd(i), t.bitStart(i + 1)) << i;
-        EXPECT_EQ(t.activeTicks(i), t.signalTicks()) << i;
-        moved = moved || t.signalStart(i) != t.bitStart(i);
+        const BitSlot s = slotOf(t, i);
+        const Tick bit_start = t.start + i * t.bitTicks();
+        EXPECT_GE(s.signalStart, bit_start) << i;
+        EXPECT_LE(s.signalEnd, s.nextStart) << i;
+        EXPECT_EQ(activeTicks(s), t.signalTicks()) << i;
+        moved = moved || s.signalStart != bit_start;
     }
     EXPECT_TRUE(moved);
 }
@@ -118,14 +197,14 @@ TEST(ChannelTimingTest, DutyCycleDrawsWithinTheConfiguredRange)
     const double window = static_cast<double>(t.signalTicks());
     bool varied = false;
     for (std::size_t i = 0; i < 64; ++i) {
-        const Tick active = t.activeTicks(i);
+        const Tick active = activeTicks(slotOf(t, i));
         EXPECT_GE(static_cast<double>(active),
                   t.evasion.dutyMin * window - 1.0)
             << i;
         EXPECT_LE(static_cast<double>(active),
                   t.evasion.dutyMax * window + 1.0)
             << i;
-        varied = varied || active != t.activeTicks(0);
+        varied = varied || active != activeTicks(slotOf(t, 0));
     }
     EXPECT_TRUE(varied);
 }
@@ -143,8 +222,8 @@ TEST(ChannelTimingTest, LowAndSlowStretchesSlotsNotBursts)
     // (the rate drops, the footprint per burst stays the same).
     EXPECT_EQ(slow.bitTicks(), 16 * classic.bitTicks());
     EXPECT_EQ(slow.signalTicks(), classic.signalTicks());
-    EXPECT_EQ(slow.bitStart(1), slow.start + slow.bitTicks());
-    EXPECT_EQ(slow.activeTicks(0), classic.signalTicks());
+    EXPECT_EQ(slotOf(slow, 0).nextStart, slow.start + slow.bitTicks());
+    EXPECT_EQ(activeTicks(slotOf(slow, 0)), classic.signalTicks());
 }
 
 TEST(ChannelTimingTest, EvasionScheduleIsSeedDeterministic)
@@ -162,11 +241,42 @@ TEST(ChannelTimingTest, EvasionScheduleIsSeedDeterministic)
     ChannelTiming c = a;
     c.evasion.seed = 4;
     for (std::size_t i = 0; i < 64; ++i) {
-        EXPECT_EQ(a.signalStart(i), b.signalStart(i)) << i;
-        EXPECT_EQ(a.activeTicks(i), b.activeTicks(i)) << i;
-        diverged = diverged || a.signalStart(i) != c.signalStart(i);
+        EXPECT_EQ(slotOf(a, i).signalStart, slotOf(b, i).signalStart) << i;
+        EXPECT_EQ(slotOf(a, i).signalEnd, slotOf(b, i).signalEnd) << i;
+        diverged =
+            diverged || slotOf(a, i).signalStart != slotOf(c, i).signalStart;
     }
     EXPECT_TRUE(diverged);
+}
+
+TEST(ChannelTimingTest, SlotAtMatchesThePerFieldScheduleForEveryStrategy)
+{
+    for (const EvasionStrategy strategy :
+         {EvasionStrategy::None, EvasionStrategy::RandomGaps,
+          EvasionStrategy::DutyCycle, EvasionStrategy::LowAndSlow}) {
+        ChannelTiming t;
+        t.start = 12345;
+        t.bandwidthBps = 1000.0;
+        t.maxSignalTicks = 300000;
+        t.evasion.strategy = strategy;
+        t.evasion.seed = 9;
+        t.evasion.stretch = 4;
+        const PerFieldSchedule ref{t};
+        Rng rng(static_cast<std::uint64_t>(strategy) + 1);
+        for (int k = 0; k < 2000; ++k) {
+            // Ticks before the start, and across the first 64 slots.
+            const Tick now = rng.nextBelow(64 * t.bitTicks() + t.start);
+            const BitSlot s = t.slotAt(now);
+            const std::size_t i = t.bitIndexAt(now);
+            ASSERT_EQ(s.index, i) << int(strategy) << " at " << now;
+            ASSERT_EQ(s.signalStart, ref.signalStart(i))
+                << int(strategy) << " at " << now;
+            ASSERT_EQ(s.signalEnd, ref.signalEnd(i))
+                << int(strategy) << " at " << now;
+            ASSERT_EQ(s.nextStart, ref.bitStart(i + 1))
+                << int(strategy) << " at " << now;
+        }
+    }
 }
 
 } // namespace

@@ -122,6 +122,20 @@ TEST(CacheTest, BadGeometryThrows)
     EXPECT_ANY_THROW(Cache("t", CacheGeometry{500, 2, 64}));
 }
 
+TEST(CacheTest, NonPowerOfTwoSetCountThrows)
+{
+    // The set index is a shift and a mask, so 3, 5 and 6 sets are
+    // rejected rather than silently folded; 1 and 4 sets are fine.
+    EXPECT_ANY_THROW(Cache("t", CacheGeometry{384, 2, 64}));
+    EXPECT_ANY_THROW(Cache("t", CacheGeometry{640, 2, 64}));
+    EXPECT_ANY_THROW(Cache("t", CacheGeometry{384, 1, 64}));
+    EXPECT_ANY_THROW(Cache("t", CacheGeometry{192, 1, 64}));
+    EXPECT_NO_THROW(Cache("t", CacheGeometry{128, 2, 64}));
+    EXPECT_NO_THROW(Cache("t", CacheGeometry{768, 3, 64}));
+    // A one-byte line would let a line address equal the invalid tag.
+    EXPECT_ANY_THROW(Cache("t", CacheGeometry{8, 2, 1}));
+}
+
 /** Monitor recording callbacks for verification. */
 struct RecordingMonitor : CacheMonitor
 {

@@ -131,5 +131,16 @@ TEST(MemSystemTest, InvalidTopologyThrows)
     EXPECT_ANY_THROW(MemSystem{p});
 }
 
+TEST(MemSystemTest, MoreThanEightThreadsPerCoreThrows)
+{
+    // Each L2 block keeps one L1-presence bit per thread in a byte.
+    MemSystemParams p = testParams();
+    p.numCores = 1;
+    p.threadsPerCore = 9;
+    EXPECT_ANY_THROW(MemSystem{p});
+    p.threadsPerCore = 8;
+    EXPECT_NO_THROW(MemSystem{p});
+}
+
 } // namespace
 } // namespace cchunter

@@ -140,6 +140,24 @@ TEST(TlbTest, DegenerateGeometryIsFatal)
     EXPECT_THROW(Tlb("tlb", params), std::runtime_error);
 }
 
+TEST(TlbTest, NonPowerOfTwoGeometryIsFatal)
+{
+    // Page number and set index are shifts and masks.
+    TlbParams params = tinyTlb();
+    params.entries = 12; // 6 sets of 2
+    EXPECT_ANY_THROW(Tlb("tlb", params));
+    params = tinyTlb();
+    params.pageBytes = 3000;
+    EXPECT_ANY_THROW(Tlb("tlb", params));
+    params = tinyTlb();
+    params.pageBytes = 1;
+    EXPECT_ANY_THROW(Tlb("tlb", params));
+    params = tinyTlb();
+    params.entries = 12;
+    params.associativity = 3; // 4 sets of 3
+    EXPECT_NO_THROW(Tlb("tlb", params));
+}
+
 TEST(TlbMemSystemTest, DisabledByDefaultAndLatencyNeutral)
 {
     MemSystemParams params;

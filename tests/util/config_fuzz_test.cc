@@ -129,7 +129,7 @@ TEST(ConfigFuzzTest, TrailingJunkOnNumbersIsRejected)
 
 TEST(ConfigFuzzTest, BadBooleansListTheOffendingValue)
 {
-    for (const std::string& bad :
+    for (const std::string bad :
          {"maybe", "2", "TRUE?", "yess", "offf"}) {
         Config cfg;
         cfg.set("flag", bad);
@@ -146,11 +146,11 @@ TEST(ConfigFuzzTest, AcceptedBooleanSpellingsStayAccepted)
     // The negative taxonomy above is only trustworthy if the accepted
     // set is pinned too.
     Config cfg;
-    for (const std::string& yes : {"true", "1", "yes", "on"}) {
+    for (const std::string yes : {"true", "1", "yes", "on"}) {
         cfg.set("b", yes);
         EXPECT_TRUE(cfg.getBool("b")) << yes;
     }
-    for (const std::string& no : {"false", "0", "no", "off"}) {
+    for (const std::string no : {"false", "0", "no", "off"}) {
         cfg.set("b", no);
         EXPECT_FALSE(cfg.getBool("b")) << no;
     }
