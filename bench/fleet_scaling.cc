@@ -19,10 +19,9 @@
  *
  * Arguments (key=value): tenants=16, quanta=8, quantum=2500000,
  * seed=1, max_shards=8, workers=0 (0 = hardware), out=BENCH_fleet.json.
- * Kernel knobs: analysis.simd=1 (vectorised analysis kernels),
- * fleet.batchedFft=1 (batched end-of-run transforms) — flip either
- * off to measure its contribution; the incident stream must stay
- * identical either way.
+ * Kernel knob: fleet.batchedFft=1 (batched end-of-run transforms) —
+ * flip it off to measure its contribution; the incident stream must
+ * stay identical either way.
  */
 
 #include <algorithm>
@@ -33,7 +32,6 @@
 
 #include "bench/common.hh"
 #include "fleet/fleet_auditor.hh"
-#include "util/simd.hh"
 #include "util/thread_pool.hh"
 
 using namespace cchunter;
@@ -111,7 +109,6 @@ main(int argc, char** argv)
     const auto workers =
         static_cast<std::size_t>(cfg.getUint("workers", 0));
     const std::string out = cfg.getString("out", "BENCH_fleet.json");
-    setSimdEnabled(cfg.getBool("analysis.simd", true));
     const bool batchedFft = cfg.getBool("fleet.batchedFft", true);
 
     const std::size_t hardware = ThreadPool::hardwareConcurrency();

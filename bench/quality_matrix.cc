@@ -117,9 +117,14 @@ main(int argc, char** argv)
     for (const CalibrationBucket& b : report.calibration) {
         if (!b.alarms)
             continue;
-        calib.addRow({"[" + fmtDouble(b.lo, 2) + ", " +
-                          fmtDouble(b.hi, 2) + ")",
-                      std::to_string(b.alarms),
+        // Appended piecewise: gcc 12 -O3 reports a false -Wrestrict
+        // on `"[" + std::string&&`.
+        std::string range = "[";
+        range += fmtDouble(b.lo, 2);
+        range += ", ";
+        range += fmtDouble(b.hi, 2);
+        range += ")";
+        calib.addRow({range, std::to_string(b.alarms),
                       std::to_string(b.trueAlarms),
                       fmtDouble(b.meanConfidence()),
                       fmtDouble(b.precision())});

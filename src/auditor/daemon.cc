@@ -450,6 +450,16 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
         sv.hasOscillation = auditor_.vectorRegisters(s) != nullptr;
         if (!sv.hasContention && !sv.hasOscillation)
             continue;
+        const SlotState& st = slots_[s];
+        if (sv.hasContention) {
+            sv.window.reserve(st.window.size());
+            for (const Histogram& h : st.window)
+                sv.window.push_back(&h);
+            if (st.mergedInit)
+                sv.premerged = &st.merged;
+        }
+        if (sv.hasOscillation)
+            sv.labels = &st.quantumLabels;
         // Degradation context travels with the work so the pool
         // workers never read live state.
         sv.coverage = coverage;
@@ -462,26 +472,23 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
     // Batch corruption happens *after* assembly — it models the
     // analysis input itself going wrong, which is exactly what the
     // validation stage must catch.  A corrupted batch analyses its
-    // (mangled) snapshots rather than the pristine live windows.
-    bool from_snapshots = false;
+    // (mangled) copies rather than the pristine live windows.
     if (injector_) {
         const FaultInjector::BatchCorruption kind =
             injector_->nextBatchCorruption();
         if (kind != FaultInjector::BatchCorruption::None) {
             materializeSnapshots(batch);
-            from_snapshots = applyBatchCorruption(batch, kind);
-            if (from_snapshots)
+            if (applyBatchCorruption(batch, kind))
                 injector_->recordBatchCorruption();
         }
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    const QuarantineReason reason =
-        validateBatch(batch, from_snapshots);
+    const QuarantineReason reason = validateBatch(batch);
     if (reason != QuarantineReason::None) {
         quarantineBatch(reason);
     } else {
-        analyzeBatch(batch, from_snapshots);
+        analyzeBatch(batch);
         applyVerdicts(batch);
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -492,17 +499,23 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
 void
 AuditDaemon::materializeSnapshots(AnalysisBatch& batch)
 {
+    // Copy each slot's input and repoint the work at the copies.
     for (auto& sv : batch.work) {
-        const SlotState& st = slots_[sv.slot];
         if (sv.hasContention) {
-            sv.windowCopy = st.window.toVector();
-            if (st.mergedInit) {
-                sv.mergedCopy = st.merged;
-                sv.mergedValid = true;
+            sv.windowCopy.reserve(sv.window.size());
+            for (const Histogram* h : sv.window)
+                sv.windowCopy.push_back(*h);
+            for (std::size_t i = 0; i < sv.window.size(); ++i)
+                sv.window[i] = &sv.windowCopy[i];
+            if (sv.premerged) {
+                sv.mergedCopy = *sv.premerged;
+                sv.premerged = &sv.mergedCopy;
             }
         }
-        if (sv.hasOscillation)
-            sv.labels = st.quantumLabels;
+        if (sv.hasOscillation) {
+            sv.labelsCopy = *sv.labels;
+            sv.labels = &sv.labelsCopy;
+        }
     }
 }
 
@@ -512,8 +525,8 @@ AuditDaemon::applyBatchCorruption(AnalysisBatch& batch,
 {
     auto corruptLabel = [&batch]() {
         for (auto& sv : batch.work) {
-            if (sv.hasOscillation && !sv.labels.empty()) {
-                sv.labels[0] =
+            if (sv.hasOscillation && !sv.labelsCopy.empty()) {
+                sv.labelsCopy[0] =
                     std::numeric_limits<double>::quiet_NaN();
                 return true;
             }
@@ -539,43 +552,21 @@ AuditDaemon::applyBatchCorruption(AnalysisBatch& batch,
 }
 
 QuarantineReason
-AuditDaemon::validateBatch(const AnalysisBatch& batch,
-                           bool from_snapshots) const
+AuditDaemon::validateBatch(const AnalysisBatch& batch) const
 {
     for (const auto& sv : batch.work) {
         if (sv.slot >= slots_.size())
             return QuarantineReason::SlotOutOfRange;
-        if (sv.hasContention) {
-            if (from_snapshots) {
-                if (!sv.windowCopy.empty()) {
-                    const std::size_t bins =
-                        sv.windowCopy.front().numBins();
-                    for (const Histogram& h : sv.windowCopy)
-                        if (h.numBins() != bins)
-                            return QuarantineReason::BinMismatch;
-                    if (sv.mergedValid &&
-                        sv.mergedCopy.numBins() != bins)
-                        return QuarantineReason::BinMismatch;
-                }
-            } else {
-                const SlotState& st = slots_[sv.slot];
-                if (st.window.size() != 0) {
-                    const std::size_t bins =
-                        st.window[0].numBins();
-                    for (const Histogram& h : st.window)
-                        if (h.numBins() != bins)
-                            return QuarantineReason::BinMismatch;
-                    if (st.mergedInit &&
-                        st.merged.numBins() != bins)
-                        return QuarantineReason::BinMismatch;
-                }
-            }
+        if (sv.hasContention && !sv.window.empty()) {
+            const std::size_t bins = sv.window.front()->numBins();
+            for (const Histogram* h : sv.window)
+                if (h->numBins() != bins)
+                    return QuarantineReason::BinMismatch;
+            if (sv.premerged && sv.premerged->numBins() != bins)
+                return QuarantineReason::BinMismatch;
         }
         if (sv.hasOscillation) {
-            const std::vector<double>& labels =
-                from_snapshots ? sv.labels
-                               : slots_[sv.slot].quantumLabels;
-            for (const double l : labels) {
+            for (const double l : *sv.labels) {
                 // A NaN fails both comparisons, so this rejects NaN,
                 // infinities and every non-binary value in one shot.
                 if (!(l == 0.0 || l == 1.0))
@@ -607,7 +598,7 @@ AuditDaemon::quarantineBatch(QuarantineReason reason)
 }
 
 void
-AuditDaemon::analyzeBatch(AnalysisBatch& batch, bool from_snapshots)
+AuditDaemon::analyzeBatch(AnalysisBatch& batch)
 {
     auto analyzeOne = [&](std::size_t i) {
         SlotWork& sv = batch.work[i];
@@ -616,35 +607,17 @@ AuditDaemon::analyzeBatch(AnalysisBatch& batch, bool from_snapshots)
         // unit of parallelism here).
         CCHunter hunter(onlineParams_.hunter);
         if (sv.hasContention) {
-            std::vector<const Histogram*> view;
-            const Histogram* premerged = nullptr;
-            if (from_snapshots) {
-                view.reserve(sv.windowCopy.size());
-                for (const Histogram& h : sv.windowCopy)
-                    view.push_back(&h);
-                if (!sv.windowCopy.empty())
-                    premerged = &sv.mergedCopy;
-            } else {
-                const SlotState& st = slots_[sv.slot];
-                view.reserve(st.window.size());
-                for (const Histogram& h : st.window)
-                    view.push_back(&h);
-                if (st.mergedInit)
-                    premerged = &st.merged;
-            }
-            sv.contention = hunter.analyzeContention(view, premerged);
-            if (!view.empty() && view.front()->numBins() != 0)
+            sv.contention =
+                hunter.analyzeContention(sv.window, sv.premerged);
+            if (!sv.window.empty() &&
+                sv.window.front()->numBins() != 0)
                 sv.satFraction =
                     static_cast<double>(
                         sv.contention.combined.saturatedBins) /
-                    static_cast<double>(view.front()->numBins());
+                    static_cast<double>(sv.window.front()->numBins());
         }
-        if (sv.hasOscillation) {
-            const std::vector<double>& labels =
-                from_snapshots ? sv.labels
-                               : slots_[sv.slot].quantumLabels;
-            sv.oscillation = hunter.analyzeOscillation(labels);
-        }
+        if (sv.hasOscillation)
+            sv.oscillation = hunter.analyzeOscillation(*sv.labels);
     };
     if (pool_ && batch.work.size() > 1) {
         pool_->parallelFor(batch.work.size(), analyzeOne);
@@ -870,19 +843,6 @@ AuditDaemon::labelSeries(unsigned slot) const
     out.reserve(recs.size());
     for (const auto& r : recs)
         out.push_back(labelOf(r));
-    return out;
-}
-
-std::vector<double>
-AuditDaemon::labelSeriesForQuantum(unsigned slot,
-                                   std::uint64_t quantum) const
-{
-    const auto& recs = slotState(slot).records;
-    std::vector<double> out;
-    for (const auto& r : recs) {
-        if (r.quantum == quantum)
-            out.push_back(labelOf(r));
-    }
     return out;
 }
 

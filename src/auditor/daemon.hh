@@ -262,10 +262,6 @@ class AuditDaemon
      */
     std::vector<double> labelSeries(unsigned slot) const;
 
-    /** Label series restricted to retained records from one quantum. */
-    std::vector<double> labelSeriesForQuantum(
-        unsigned slot, std::uint64_t quantum) const;
-
     /** Run the recurrent-burst pipeline on a contention slot's
      *  retained window. */
     ContentionVerdict analyzeContention(unsigned slot,
@@ -380,13 +376,15 @@ class AuditDaemon
         MonitorTarget target = MonitorTarget::None;
         bool hasContention = false;
         bool hasOscillation = false;
-        // Owned snapshots, filled only for a batch the fault injector
-        // is about to corrupt; a clean batch analyses the live
-        // windows in place.
+        // The analysis input: the slot's live window, merged sum and
+        // quantum labels, or the owned copies below once the fault
+        // injector corrupts the batch.
+        std::vector<const Histogram*> window;
+        const Histogram* premerged = nullptr;
+        const std::vector<double>* labels = nullptr;
         std::vector<Histogram> windowCopy;
         Histogram mergedCopy{1};
-        bool mergedValid = false;
-        std::vector<double> labels;
+        std::vector<double> labelsCopy;
         ContentionVerdict contention;
         OscillationVerdict oscillation;
 
@@ -413,10 +411,9 @@ class AuditDaemon
     void materializeSnapshots(AnalysisBatch& batch);
     bool applyBatchCorruption(AnalysisBatch& batch,
                               FaultInjector::BatchCorruption kind);
-    QuarantineReason validateBatch(const AnalysisBatch& batch,
-                                   bool from_snapshots) const;
+    QuarantineReason validateBatch(const AnalysisBatch& batch) const;
     void quarantineBatch(QuarantineReason reason);
-    void analyzeBatch(AnalysisBatch& batch, bool from_snapshots);
+    void analyzeBatch(AnalysisBatch& batch);
     void applyVerdicts(AnalysisBatch& batch);
     void recordAnalysisLatency(double micros);
     void setContentionRetention(std::size_t quanta);

@@ -75,18 +75,8 @@ Trace::enableFromString(const std::string& spec)
             enable(TraceCategory::All);
         else if (name == "sched")
             enable(TraceCategory::Sched);
-        else if (name == "exec")
-            enable(TraceCategory::Exec);
-        else if (name == "cache")
-            enable(TraceCategory::Cache);
-        else if (name == "bus")
-            enable(TraceCategory::Bus);
         else if (name == "auditor")
             enable(TraceCategory::Auditor);
-        else if (name == "channel")
-            enable(TraceCategory::Channel);
-        else if (name == "detect")
-            enable(TraceCategory::Detect);
         else if (!name.empty())
             warn("unknown trace category '", name, "'");
         if (comma == std::string::npos)
@@ -118,18 +108,8 @@ Trace::categoryName(TraceCategory category)
     switch (category) {
       case TraceCategory::Sched:
         return "sched";
-      case TraceCategory::Exec:
-        return "exec";
-      case TraceCategory::Cache:
-        return "cache";
-      case TraceCategory::Bus:
-        return "bus";
       case TraceCategory::Auditor:
         return "auditor";
-      case TraceCategory::Channel:
-        return "channel";
-      case TraceCategory::Detect:
-        return "detect";
       case TraceCategory::None:
         return "none";
       case TraceCategory::All:

@@ -8,6 +8,9 @@
  *
  *   CCHUNTER_TRACE=sched,auditor ./build/examples/quickstart
  *
+ * The scheduler and the CC-Auditor are the only emitters, so those are
+ * the only categories; any other name warns and enables nothing.
+ *
  * Each record carries the current tick, the category and a message;
  * the sink defaults to stderr and can be redirected for tests.
  */
@@ -30,12 +33,7 @@ enum class TraceCategory : std::uint32_t
 {
     None = 0,
     Sched = 1u << 0,    //!< scheduler assignments and quanta
-    Exec = 1u << 1,     //!< context action execution
-    Cache = 1u << 2,    //!< cache accesses and evictions
-    Bus = 1u << 3,      //!< bus transfers and locks
-    Auditor = 1u << 4,  //!< auditor programming and snapshots
-    Channel = 1u << 5,  //!< trojan/spy behaviour
-    Detect = 1u << 6,   //!< analysis decisions
+    Auditor = 1u << 1,  //!< auditor programming and snapshots
     All = 0xffffffffu,
 };
 

@@ -70,7 +70,6 @@ makeBusUnit()
     d.conflictSemantics =
         "atomic unaligned access asserting the shared bus lock";
     d.policy = AlarmKind::Contention;
-    d.deltaT = busDeltaT;
     d.indicator2Scale = 50.0;
     d.rateLimitAtBus = true;
     d.channelContexts = {ContextId{0}, ContextId{2}};
@@ -112,7 +111,6 @@ makeDividerUnit()
     d.conflictSemantics =
         "SMT sibling waiting on the busy integer divider";
     d.policy = AlarmKind::Contention;
-    d.deltaT = dividerDeltaT;
     d.indicator2Scale = 2000.0;
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
         DividerTrojanParams tp;
@@ -147,7 +145,6 @@ makeMultiplierUnit()
     d.conflictSemantics =
         "SMT sibling waiting on the busy integer multiplier";
     d.policy = AlarmKind::Contention;
-    d.deltaT = multiplierDeltaT;
     d.indicator2Scale = 2000.0;
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
         DividerTrojanParams tp;

@@ -8,11 +8,12 @@
  * be a registration, not a code sweep.  A UnitDescriptor carries
  * everything the layered stack previously obtained from per-unit
  * switch statements: the stable name, the conflict semantics, the
- * detector policy (contention vs. oscillation), default thresholds and
- * Δt, the recommended mitigation, and the hooks that configure a
- * machine, build the trojan/spy workload pair, program the CC-Auditor
- * and, for traced runs, record the raw event train and read the
- * unit's conflict counter.
+ * detector policy (contention vs. oscillation), the indicator2 scale,
+ * how the response ladder rate-limits the unit and which contexts it
+ * partitions, and the hooks that configure a machine, build the
+ * trojan/spy workload pair, program the CC-Auditor and, for traced
+ * runs, record the raw event train and read the unit's conflict
+ * counter.
  *
  * Layers above (scenario, eval, fleet, mitigate) iterate or look up
  * descriptors; the only remaining per-unit translation shims are data
@@ -32,7 +33,6 @@
 #include "auditor/daemon.hh"
 #include "channels/message.hh"
 #include "channels/timing.hh"
-#include "detect/detector.hh"
 #include "sim/machine.hh"
 #include "util/types.hh"
 
@@ -140,10 +140,6 @@ struct UnitDescriptor
     /** Which analysis path judges the unit. */
     AlarmKind policy = AlarmKind::Contention;
 
-    /** Default Δt of the contention histogram (0 for oscillation
-     *  units, which have no count-down register). */
-    Tick deltaT = 0;
-
     /**
      * Squash scale of the indicator2 backend on this unit (0 keeps
      * Indicator2Params' defaults).  The second-moment statistic is
@@ -155,9 +151,6 @@ struct UnitDescriptor
      * contention scale, oscillation units as the run-length scale.
      */
     double indicator2Scale = 0.0;
-
-    /** Paper operating point for the unit's verdicts. */
-    DetectionThresholds defaultThresholds;
 
     /** The response ladder's rate-limit rung throttles this unit's
      *  scarce operation at the bus (lock rate limiting) rather than

@@ -1,59 +1,10 @@
 #include "util/simd.hh"
 
-#include <atomic>
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define CCHUNTER_SIMD_X86 1
-#include <immintrin.h>
-#endif
+#include <cstdint>
+#include <cstring>
 
 namespace cchunter
 {
-
-namespace
-{
-
-std::atomic<bool> g_simdEnabled{true};
-
-#ifdef CCHUNTER_SIMD_X86
-bool
-detectAvx2()
-{
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-}
-
-const bool g_haveAvx2 = detectAvx2();
-#else
-const bool g_haveAvx2 = false;
-#endif
-
-inline bool
-useVector()
-{
-    return g_haveAvx2 &&
-           g_simdEnabled.load(std::memory_order_relaxed);
-}
-
-} // namespace
-
-void
-setSimdEnabled(bool enabled)
-{
-    g_simdEnabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-simdEnabled()
-{
-    return g_simdEnabled.load(std::memory_order_relaxed);
-}
-
-const char*
-simdBackendName()
-{
-    return useVector() ? "avx2" : "scalar";
-}
 
 namespace simd
 {
@@ -61,27 +12,40 @@ namespace simd
 namespace
 {
 
-// ---- scalar backends -------------------------------------------------
-//
-// These mirror the vector kernels operation for operation; the 4-lane
-// tree in squaredDistanceScalar is deliberate, not an optimisation.
+// Each body below is compiled once per ISA by being inlined into that
+// ISA's wrapper (Variants).  No function passes or returns a vector by
+// value, so no wrapper's ABI depends on the ISA.
 
-double
-squaredDistanceScalar(const double* a, const double* b, std::size_t n)
+typedef double V4 __attribute__((vector_size(32)));
+typedef std::uint64_t U4 __attribute__((vector_size(32)));
+
+constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+
+[[gnu::always_inline]] inline void
+load(V4& out, const double* p)
 {
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    std::memcpy(&out, p, sizeof out);
+}
+
+[[gnu::always_inline]] inline void
+store(double* p, const V4& v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+[[gnu::always_inline]] inline double
+squaredDistanceBody(const double* a, const double* b, std::size_t n)
+{
+    V4 acc = {0.0, 0.0, 0.0, 0.0};
     const std::size_t n4 = n & ~std::size_t{3};
     for (std::size_t i = 0; i < n4; i += 4) {
-        const double d0 = a[i] - b[i];
-        const double d1 = a[i + 1] - b[i + 1];
-        const double d2 = a[i + 2] - b[i + 2];
-        const double d3 = a[i + 3] - b[i + 3];
-        l0 += d0 * d0;
-        l1 += d1 * d1;
-        l2 += d2 * d2;
-        l3 += d3 * d3;
+        V4 x, y;
+        load(x, a + i);
+        load(y, b + i);
+        const V4 d = x - y;
+        acc += d * d;
     }
-    double total = (l0 + l2) + (l1 + l3);
+    double total = (acc[0] + acc[2]) + (acc[1] + acc[3]);
     for (std::size_t i = n4; i < n; ++i) {
         const double d = a[i] - b[i];
         total += d * d;
@@ -89,51 +53,112 @@ squaredDistanceScalar(const double* a, const double* b, std::size_t n)
     return total;
 }
 
-void
-divideInPlaceScalar(double* v, std::size_t n, double denom)
+[[gnu::always_inline]] inline void
+divideInPlaceBody(double* v, std::size_t n, double denom)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    const std::size_t n4 = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < n4; i += 4) {
+        V4 x;
+        load(x, v + i);
+        store(v + i, x / denom);
+    }
+    for (std::size_t i = n4; i < n; ++i)
         v[i] /= denom;
 }
 
-void
-scaleInPlaceScalar(double* v, std::size_t n, double s)
+[[gnu::always_inline]] inline void
+scaleInPlaceBody(double* v, std::size_t n, double s)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    const std::size_t n4 = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < n4; i += 4) {
+        V4 x;
+        load(x, v + i);
+        store(v + i, x * s);
+    }
+    for (std::size_t i = n4; i < n; ++i)
         v[i] *= s;
 }
 
-void
-subtractScalarScalar(const double* x, std::size_t n, double c,
-                     double* out)
+[[gnu::always_inline]] inline void
+subtractScalarBody(const double* x, std::size_t n, double c,
+                   double* out)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    const std::size_t n4 = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < n4; i += 4) {
+        V4 y;
+        load(y, x + i);
+        store(out + i, y - c);
+    }
+    for (std::size_t i = n4; i < n; ++i)
         out[i] = x[i] - c;
 }
 
-void
-powerSpectrumScalar(const std::complex<double>* spectrum,
-                    std::size_t m1, double* power)
+[[gnu::always_inline]] inline void
+powerSpectrumExpandBody(const std::complex<double>* spectrum,
+                        std::size_t m1, double* power,
+                        std::size_t padded)
 {
-    for (std::size_t k = 0; k < m1; ++k) {
+    // Four complex values (r0 i0 r1 i1 | r2 i2 r3 i3) -> four
+    // re^2 + im^2 per iteration.
+    const double* s = reinterpret_cast<const double*>(spectrum);
+    const std::size_t m4 = m1 & ~std::size_t{3};
+    for (std::size_t k = 0; k < m4; k += 4) {
+        V4 z0, z1;
+        load(z0, s + 2 * k);
+        load(z1, s + 2 * k + 4);
+        const V4 sq0 = z0 * z0;
+        const V4 sq1 = z1 * z1;
+        const V4 re2 = {sq0[0], sq0[2], sq1[0], sq1[2]};
+        const V4 im2 = {sq0[1], sq0[3], sq1[1], sq1[3]};
+        store(power + k, re2 + im2);
+    }
+    for (std::size_t k = m4; k < m1; ++k) {
         const double re = spectrum[k].real();
         const double im = spectrum[k].imag();
         power[k] = re * re + im * im;
     }
+    for (std::size_t k = 1; k < m1; ++k) {
+        if (k != padded - k)
+            power[padded - k] = power[k];
+    }
 }
 
-void
-butterflyBlockScalar(std::complex<double>* a,
-                     const std::complex<double>* tw, std::size_t half,
-                     bool inverse)
+[[gnu::always_inline]] inline void
+butterflyBlockBody(std::complex<double>* a,
+                   const std::complex<double>* tw, std::size_t half,
+                   bool inverse)
 {
-    for (std::size_t j = 0; j < half; ++j) {
+    double* ap = reinterpret_cast<double*>(a);
+    double* bp = reinterpret_cast<double*>(a + half);
+    const double* wp = reinterpret_cast<const double*>(tw);
+    // Conjugation flips the sign bit of each twiddle's imaginary lane.
+    const U4 conj = inverse ? U4{0, kSign, 0, kSign} : U4{0, 0, 0, 0};
+    const std::size_t half2 = half & ~std::size_t{1};
+    for (std::size_t j = 0; j < half2; j += 2) {
+        V4 w, b, u;
+        load(w, wp + 2 * j); // wr0 wi0 wr1 wi1
+        load(b, bp + 2 * j); // br0 bi0 br1 bi1
+        load(u, ap + 2 * j);
+        w = (V4)((U4)w ^ conj);
+        const V4 wr = {w[0], w[0], w[2], w[2]};
+        const V4 wi = {w[1], w[1], w[3], w[3]};
+        const V4 bswap = {b[1], b[0], b[3], b[2]};
+        // (br*wr - bi*wi, bi*wr + br*wi) per complex value.
+        const V4 p = b * wr;
+        const V4 q = bswap * wi;
+        const V4 diff = p - q;
+        const V4 sum = p + q;
+        const V4 v = {diff[0], sum[1], diff[2], sum[3]};
+        store(ap + 2 * j, u + v);
+        store(bp + 2 * j, u - v);
+    }
+    for (std::size_t j = half2; j < half; ++j) {
         const double wr = tw[j].real();
         const double wi = inverse ? -tw[j].imag() : tw[j].imag();
         const double br = a[j + half].real();
         const double bi = a[j + half].imag();
         const double vr = br * wr - bi * wi;
-        const double vi = br * wi + bi * wr;
+        const double vi = bi * wr + br * wi;
         const double ur = a[j].real();
         const double ui = a[j].imag();
         a[j] = std::complex<double>(ur + vr, ui + vi);
@@ -141,205 +166,107 @@ butterflyBlockScalar(std::complex<double>* a,
     }
 }
 
-// ---- AVX2 backends ---------------------------------------------------
+// One ISA variant of a body: a function with the body's signature,
+// built with or without AVX2, into which the body is inlined.
+template <auto Body>
+struct Variants;
 
-#ifdef CCHUNTER_SIMD_X86
-
-__attribute__((target("avx2"))) double
-squaredDistanceAvx2(const double* a, const double* b, std::size_t n)
+template <typename R, typename... Args, R (*Body)(Args...)>
+struct Variants<Body>
 {
-    __m256d acc = _mm256_setzero_pd();
-    const std::size_t n4 = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < n4; i += 4) {
-        const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + i),
-                                        _mm256_loadu_pd(b + i));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+    static R baseline(Args... args) { return Body(args...); }
+
+#if defined(__x86_64__) || defined(__i386__)
+    __attribute__((target("avx2"))) static R avx2(Args... args)
+    {
+        return Body(args...);
     }
-    // (l0+l2, l1+l3) then l0+l2 + (l1+l3): the tree the scalar
-    // fallback replicates.
-    const __m128d lo = _mm256_castpd256_pd128(acc);
-    const __m128d hi = _mm256_extractf128_pd(acc, 1);
-    const __m128d pair = _mm_add_pd(lo, hi);
-    double total = _mm_cvtsd_f64(pair) +
-                   _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-    for (std::size_t i = n4; i < n; ++i) {
-        const double d = a[i] - b[i];
-        total += d * d;
-    }
-    return total;
-}
+#endif
+};
 
-__attribute__((target("avx2"))) void
-divideInPlaceAvx2(double* v, std::size_t n, double denom)
+const KernelSet kBaseline = {
+    Variants<squaredDistanceBody>::baseline,
+    Variants<divideInPlaceBody>::baseline,
+    Variants<scaleInPlaceBody>::baseline,
+    Variants<subtractScalarBody>::baseline,
+    Variants<powerSpectrumExpandBody>::baseline,
+    Variants<butterflyBlockBody>::baseline,
+};
+
+#if defined(__x86_64__) || defined(__i386__)
+const KernelSet kAvx2 = {
+    Variants<squaredDistanceBody>::avx2,
+    Variants<divideInPlaceBody>::avx2,
+    Variants<scaleInPlaceBody>::avx2,
+    Variants<subtractScalarBody>::avx2,
+    Variants<powerSpectrumExpandBody>::avx2,
+    Variants<butterflyBlockBody>::avx2,
+};
+
+const KernelSet*
+detectAvx2()
 {
-    const __m256d d = _mm256_set1_pd(denom);
-    const std::size_t n4 = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < n4; i += 4)
-        _mm256_storeu_pd(v + i,
-                         _mm256_div_pd(_mm256_loadu_pd(v + i), d));
-    for (std::size_t i = n4; i < n; ++i)
-        v[i] /= denom;
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? &kAvx2 : nullptr;
 }
 
-__attribute__((target("avx2"))) void
-scaleInPlaceAvx2(double* v, std::size_t n, double s)
-{
-    const __m256d f = _mm256_set1_pd(s);
-    const std::size_t n4 = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < n4; i += 4)
-        _mm256_storeu_pd(v + i,
-                         _mm256_mul_pd(_mm256_loadu_pd(v + i), f));
-    for (std::size_t i = n4; i < n; ++i)
-        v[i] *= s;
-}
+const KernelSet* const g_avx2 = detectAvx2();
+#else
+const KernelSet* const g_avx2 = nullptr;
+#endif
 
-__attribute__((target("avx2"))) void
-subtractScalarAvx2(const double* x, std::size_t n, double c,
-                   double* out)
-{
-    const __m256d cc = _mm256_set1_pd(c);
-    const std::size_t n4 = n & ~std::size_t{3};
-    for (std::size_t i = 0; i < n4; i += 4)
-        _mm256_storeu_pd(out + i,
-                         _mm256_sub_pd(_mm256_loadu_pd(x + i), cc));
-    for (std::size_t i = n4; i < n; ++i)
-        out[i] = x[i] - c;
-}
-
-__attribute__((target("avx2"))) void
-powerSpectrumAvx2(const std::complex<double>* spectrum,
-                  std::size_t m1, double* power)
-{
-    // Two complex values -> two |.|^2 per iteration.
-    const double* s = reinterpret_cast<const double*>(spectrum);
-    const std::size_t m2 = m1 & ~std::size_t{1};
-    for (std::size_t k = 0; k < m2; k += 2) {
-        const __m256d z = _mm256_loadu_pd(s + 2 * k); // r0 i0 r1 i1
-        const __m256d sq = _mm256_mul_pd(z, z);
-        const __m128d lo = _mm256_castpd256_pd128(sq);   // r0^2 i0^2
-        const __m128d hi = _mm256_extractf128_pd(sq, 1); // r1^2 i1^2
-        // (r0^2+i0^2, r1^2+i1^2)
-        const __m128d p = _mm_add_pd(_mm_unpacklo_pd(lo, hi),
-                                     _mm_unpackhi_pd(lo, hi));
-        _mm_storeu_pd(power + k, p);
-    }
-    for (std::size_t k = m2; k < m1; ++k) {
-        const double re = spectrum[k].real();
-        const double im = spectrum[k].imag();
-        power[k] = re * re + im * im;
-    }
-}
-
-__attribute__((target("avx2"))) void
-butterflyBlockAvx2(std::complex<double>* a,
-                   const std::complex<double>* tw, std::size_t half,
-                   bool inverse)
-{
-    double* ap = reinterpret_cast<double*>(a);
-    double* bp = reinterpret_cast<double*>(a + half);
-    const double* wp = reinterpret_cast<const double*>(tw);
-    const __m256d negIm =
-        inverse ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
-                : _mm256_setzero_pd();
-    const std::size_t half2 = half & ~std::size_t{1};
-    for (std::size_t j = 0; j < half2; j += 2) {
-        const __m256d w = _mm256_xor_pd(
-            _mm256_loadu_pd(wp + 2 * j), negIm); // wr0 wi0 wr1 wi1
-        const __m256d b = _mm256_loadu_pd(bp + 2 * j);
-        const __m256d wr = _mm256_movedup_pd(w);        // wr wr
-        const __m256d wi = _mm256_permute_pd(w, 0xF);   // wi wi
-        const __m256d bswap = _mm256_permute_pd(b, 0x5); // bi br
-        // (br*wr - bi*wi, bi*wr + br*wi)
-        const __m256d v = _mm256_addsub_pd(
-            _mm256_mul_pd(b, wr), _mm256_mul_pd(bswap, wi));
-        const __m256d u = _mm256_loadu_pd(ap + 2 * j);
-        _mm256_storeu_pd(ap + 2 * j, _mm256_add_pd(u, v));
-        _mm256_storeu_pd(bp + 2 * j, _mm256_sub_pd(u, v));
-    }
-    if (half2 != half)
-        butterflyBlockScalar(a + half2, tw + half2, half - half2,
-                             inverse);
-}
-
-#endif // CCHUNTER_SIMD_X86
+const KernelSet g_active = g_avx2 ? *g_avx2 : kBaseline;
 
 } // namespace
+
+const KernelSet&
+baselineKernels()
+{
+    return kBaseline;
+}
+
+const KernelSet*
+avx2Kernels()
+{
+    return g_avx2;
+}
 
 double
 squaredDistance(const double* a, const double* b, std::size_t n)
 {
-#ifdef CCHUNTER_SIMD_X86
-    if (useVector())
-        return squaredDistanceAvx2(a, b, n);
-#endif
-    return squaredDistanceScalar(a, b, n);
+    return g_active.squaredDistance(a, b, n);
 }
 
 void
 divideInPlace(double* v, std::size_t n, double denom)
 {
-#ifdef CCHUNTER_SIMD_X86
-    if (useVector()) {
-        divideInPlaceAvx2(v, n, denom);
-        return;
-    }
-#endif
-    divideInPlaceScalar(v, n, denom);
+    g_active.divideInPlace(v, n, denom);
 }
 
 void
 scaleInPlace(double* v, std::size_t n, double s)
 {
-#ifdef CCHUNTER_SIMD_X86
-    if (useVector()) {
-        scaleInPlaceAvx2(v, n, s);
-        return;
-    }
-#endif
-    scaleInPlaceScalar(v, n, s);
+    g_active.scaleInPlace(v, n, s);
 }
 
 void
 subtractScalar(const double* x, std::size_t n, double c, double* out)
 {
-#ifdef CCHUNTER_SIMD_X86
-    if (useVector()) {
-        subtractScalarAvx2(x, n, c, out);
-        return;
-    }
-#endif
-    subtractScalarScalar(x, n, c, out);
+    g_active.subtractScalar(x, n, c, out);
 }
 
 void
 powerSpectrumExpand(const std::complex<double>* spectrum,
                     std::size_t m1, double* power, std::size_t padded)
 {
-#ifdef CCHUNTER_SIMD_X86
-    if (useVector())
-        powerSpectrumAvx2(spectrum, m1, power);
-    else
-        powerSpectrumScalar(spectrum, m1, power);
-#else
-    powerSpectrumScalar(spectrum, m1, power);
-#endif
-    for (std::size_t k = 1; k < m1; ++k) {
-        if (k != padded - k)
-            power[padded - k] = power[k];
-    }
+    g_active.powerSpectrumExpand(spectrum, m1, power, padded);
 }
 
 void
 butterflyBlock(std::complex<double>* a, const std::complex<double>* tw,
                std::size_t half, bool inverse)
 {
-#ifdef CCHUNTER_SIMD_X86
-    if (useVector()) {
-        butterflyBlockAvx2(a, tw, half, inverse);
-        return;
-    }
-#endif
-    butterflyBlockScalar(a, tw, half, inverse);
+    g_active.butterflyBlock(a, tw, half, inverse);
 }
 
 } // namespace simd

@@ -1,21 +1,17 @@
 /**
  * @file
- * Portable vectorization shim for the analysis hot loops.
+ * Vector kernels for the analysis hot loops.
  *
- * Every kernel here has exactly two implementations: a widest
- * compiled-in vector path (AVX2 on x86-64, selected at runtime with
- * __builtin_cpu_supports) and a scalar fallback.  The fallbacks are
- * not naive reference loops — they are pinned to the *same* operation
- * structure as the vector path (no FMA contraction, identical
- * reduction tree), so both backends produce bit-identical results and
- * the detection pipeline's golden streams do not depend on the host
- * CPU.  Elementwise kernels (butterflies, divides, subtracts) are
- * bit-identical by construction; the one reduction kernel
- * (squaredDistance) fixes a 4-lane accumulator tree in both backends.
- *
- * The runtime toggle (setSimdEnabled, config key `analysis.simd`)
- * forces the scalar fallback everywhere — used by the equivalence
- * tests and as an escape hatch on hosts with poor vector units.
+ * Each kernel has one body, written with 4-lane GCC/Clang vector
+ * types, and that body is compiled twice: once for AVX2 and once for
+ * the baseline ISA.  The AVX2 build is used when the host supports it
+ * (decided once, at start-up, with __builtin_cpu_supports); otherwise
+ * the baseline build runs.  Because both builds come from one source
+ * with no FMA contraction and one fixed reduction tree, they produce
+ * bit-identical results, and the detection pipeline's golden streams
+ * do not depend on the host CPU.  The one reduction kernel
+ * (squaredDistance) fixes a 4-lane accumulator tree; every other
+ * kernel is elementwise.
  */
 
 #ifndef CCHUNTER_UTIL_SIMD_HH
@@ -27,18 +23,6 @@
 namespace cchunter
 {
 
-/** Globally enable/disable the vector backends (default: enabled).
- *  Takes effect on the next kernel call; thread-safe. */
-void setSimdEnabled(bool enabled);
-
-/** Current state of the runtime toggle. */
-bool simdEnabled();
-
-/** Name of the backend kernels dispatch to right now: "avx2" or
- *  "scalar" (the latter either because the host lacks the extension,
- *  the build does, or the toggle is off). */
-const char* simdBackendName();
-
 namespace simd
 {
 
@@ -46,20 +30,19 @@ namespace simd
  * Sum of squared differences between two length-n arrays with a fixed
  * 4-lane accumulator tree: lane l accumulates indices congruent to l
  * mod 4 over the aligned body, the total is (l0+l2)+(l1+l3), and the
- * tail (n mod 4 elements) is added sequentially afterwards.  Both
- * backends implement exactly this tree, so results are bit-identical
- * — but note the tree differs from a plain sequential sum.
+ * tail (n mod 4 elements) is added sequentially afterwards.  Note the
+ * tree differs from a plain sequential sum.
  */
 double squaredDistance(const double* a, const double* b,
                        std::size_t n);
 
-/** v[i] /= denom for i in [0, n).  Elementwise, bit-identical. */
+/** v[i] /= denom for i in [0, n). */
 void divideInPlace(double* v, std::size_t n, double denom);
 
-/** v[i] *= s for i in [0, n).  Elementwise, bit-identical. */
+/** v[i] *= s for i in [0, n). */
 void scaleInPlace(double* v, std::size_t n, double s);
 
-/** out[i] = x[i] - c for i in [0, n).  Elementwise, bit-identical. */
+/** out[i] = x[i] - c for i in [0, n). */
 void subtractScalar(const double* x, std::size_t n, double c,
                     double* out);
 
@@ -68,7 +51,7 @@ void subtractScalar(const double* x, std::size_t n, double c,
  * conjugate symmetry: power[k] = re^2 + im^2 for k in [0, m1), then
  * power[padded-k] = power[k] for k in [1, m1) with k != padded-k.
  * Requires m1 == padded/2 + 1; every entry of power[0..padded) is
- * written.  Elementwise, bit-identical.
+ * written.
  */
 void powerSpectrumExpand(const std::complex<double>* spectrum,
                          std::size_t m1, double* power,
@@ -82,13 +65,34 @@ void powerSpectrumExpand(const std::complex<double>* spectrum,
  *   a[j+half] = a[j] - v        for j in [0, half)
  *
  * The complex product is (br*wr - bi*wi, br*wi + bi*wr) with no FMA
- * contraction in either backend, matching std::complex::operator*=
- * exactly, so the transform output is bit-identical to the scalar
- * (and to the pre-shim) FFT.
+ * contraction, matching std::complex::operator*= exactly.
  */
 void butterflyBlock(std::complex<double>* a,
                     const std::complex<double>* tw, std::size_t half,
                     bool inverse);
+
+/** One ISA build of the six kernels above (same signatures). */
+struct KernelSet
+{
+    double (*squaredDistance)(const double*, const double*,
+                              std::size_t);
+    void (*divideInPlace)(double*, std::size_t, double);
+    void (*scaleInPlace)(double*, std::size_t, double);
+    void (*subtractScalar)(const double*, std::size_t, double,
+                           double*);
+    void (*powerSpectrumExpand)(const std::complex<double>*,
+                                std::size_t, double*, std::size_t);
+    void (*butterflyBlock)(std::complex<double>*,
+                           const std::complex<double>*, std::size_t,
+                           bool);
+};
+
+/** The baseline-ISA build; runs on every host. */
+const KernelSet& baselineKernels();
+
+/** The AVX2 build, or nullptr when the build targets no x86 or the
+ *  host lacks AVX2.  The functions above call it when it exists. */
+const KernelSet* avx2Kernels();
 
 } // namespace simd
 

@@ -4,7 +4,6 @@
 
 #include "detect/kmeans.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 
 namespace cchunter
 {
@@ -192,31 +191,6 @@ TEST(SquaredDistanceTest, Basics)
 {
     EXPECT_DOUBLE_EQ(squaredDistance({0.0, 0.0}, {3.0, 4.0}), 25.0);
     EXPECT_ANY_THROW(squaredDistance({1.0}, {1.0, 2.0}));
-}
-
-TEST(KMeansSimdTest, ClusteringBitIdenticalAcrossBackends)
-{
-    // The distance kernel pins one reduction tree in both backends, so
-    // the whole clustering — seeding, assignment sweeps, inertia and
-    // silhouette — must not depend on the SIMD toggle.
-    const bool saved = simdEnabled();
-    auto pts = twoBlobs(60, 4.0, 21);
-    // Odd dimensionality exercises the kernel's tail handling.
-    for (auto& p : pts)
-        p.push_back(p[0] - p[1]);
-
-    setSimdEnabled(true);
-    const auto vec = kmeansAuto(pts, 5, 22);
-    const double vecSilhouette = silhouetteScore(pts, vec);
-    setSimdEnabled(false);
-    const auto scalar = kmeansAuto(pts, 5, 22);
-    const double scalarSilhouette = silhouetteScore(pts, scalar);
-    setSimdEnabled(saved);
-
-    EXPECT_EQ(vec.assignments, scalar.assignments);
-    EXPECT_EQ(vec.centroids, scalar.centroids);
-    EXPECT_EQ(vec.inertia, scalar.inertia);
-    EXPECT_EQ(vecSilhouette, scalarSilhouette);
 }
 
 } // namespace

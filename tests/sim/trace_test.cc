@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "sim/machine.hh"
 #include "sim/trace.hh"
@@ -33,35 +34,46 @@ TEST(TraceTest, DisabledByDefault)
 TEST(TraceTest, EnableDisableRoundTrip)
 {
     TraceGuard guard;
-    Trace::enable(TraceCategory::Bus);
-    EXPECT_TRUE(Trace::enabled(TraceCategory::Bus));
-    EXPECT_FALSE(Trace::enabled(TraceCategory::Cache));
-    Trace::disable(TraceCategory::Bus);
-    EXPECT_FALSE(Trace::enabled(TraceCategory::Bus));
+    Trace::enable(TraceCategory::Auditor);
+    EXPECT_TRUE(Trace::enabled(TraceCategory::Auditor));
+    EXPECT_FALSE(Trace::enabled(TraceCategory::Sched));
+    Trace::disable(TraceCategory::Auditor);
+    EXPECT_FALSE(Trace::enabled(TraceCategory::Auditor));
 }
 
 TEST(TraceTest, EnableFromStringParsesList)
 {
     TraceGuard guard;
+    Trace::enableFromString("sched");
+    EXPECT_TRUE(Trace::enabled(TraceCategory::Sched));
+    EXPECT_FALSE(Trace::enabled(TraceCategory::Auditor));
     Trace::enableFromString("sched,auditor");
     EXPECT_TRUE(Trace::enabled(TraceCategory::Sched));
     EXPECT_TRUE(Trace::enabled(TraceCategory::Auditor));
-    EXPECT_FALSE(Trace::enabled(TraceCategory::Channel));
 }
 
 TEST(TraceTest, EnableAll)
 {
     TraceGuard guard;
     Trace::enableFromString("all");
-    EXPECT_TRUE(Trace::enabled(TraceCategory::Detect));
-    EXPECT_TRUE(Trace::enabled(TraceCategory::Exec));
+    EXPECT_TRUE(Trace::enabled(TraceCategory::Sched));
+    EXPECT_TRUE(Trace::enabled(TraceCategory::Auditor));
 }
 
 TEST(TraceTest, UnknownCategoryIgnored)
 {
     TraceGuard guard;
-    EXPECT_NO_THROW(Trace::enableFromString("sched,bogus"));
+    // Only sched and auditor are ever traced; any other name (the
+    // retired "cache" too) warns and enables nothing.
+    testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(Trace::enableFromString("sched,bogus,cache"));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown trace category 'bogus'"),
+              std::string::npos);
+    EXPECT_NE(err.find("unknown trace category 'cache'"),
+              std::string::npos);
     EXPECT_TRUE(Trace::enabled(TraceCategory::Sched));
+    EXPECT_FALSE(Trace::enabled(TraceCategory::Auditor));
 }
 
 TEST(TraceTest, EmitFormatsTickCategoryMessage)
@@ -69,9 +81,9 @@ TEST(TraceTest, EmitFormatsTickCategoryMessage)
     TraceGuard guard;
     std::ostringstream os;
     Trace::setSink(&os);
-    Trace::enable(TraceCategory::Bus);
-    trace(TraceCategory::Bus, 1234, "lock by ctx ", 3);
-    EXPECT_EQ(os.str(), "1234: [bus] lock by ctx 3\n");
+    Trace::enable(TraceCategory::Auditor);
+    trace(TraceCategory::Auditor, 1234, "slot ", 3, " snapshot");
+    EXPECT_EQ(os.str(), "1234: [auditor] slot 3 snapshot\n");
 }
 
 TEST(TraceTest, DisabledCategoryEmitsNothing)
@@ -79,7 +91,8 @@ TEST(TraceTest, DisabledCategoryEmitsNothing)
     TraceGuard guard;
     std::ostringstream os;
     Trace::setSink(&os);
-    trace(TraceCategory::Cache, 1, "should not appear");
+    Trace::enable(TraceCategory::Sched);
+    trace(TraceCategory::Auditor, 1, "should not appear");
     EXPECT_TRUE(os.str().empty());
 }
 
@@ -102,7 +115,7 @@ TEST(TraceTest, SchedulerEmitsQuantumRecords)
 TEST(TraceTest, CategoryNames)
 {
     EXPECT_EQ(Trace::categoryName(TraceCategory::Sched), "sched");
-    EXPECT_EQ(Trace::categoryName(TraceCategory::Detect), "detect");
+    EXPECT_EQ(Trace::categoryName(TraceCategory::Auditor), "auditor");
     EXPECT_EQ(Trace::categoryName(TraceCategory::All), "all");
 }
 

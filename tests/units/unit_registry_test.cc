@@ -85,12 +85,6 @@ TEST(UnitRegistryTest, DescriptorsCarryCompletePolicies)
         EXPECT_TRUE(d.buildWorkload) << d.name;
         EXPECT_TRUE(d.program) << d.name;
         EXPECT_TRUE(d.countConflicts) << d.name;
-        // Contention units observe through a count-down histogram and
-        // need a delta-t; oscillation units have no such register.
-        if (d.policy == AlarmKind::Contention)
-            EXPECT_GT(d.deltaT, 0u) << d.name;
-        else
-            EXPECT_EQ(d.deltaT, 0u) << d.name;
     }
 }
 

@@ -1,15 +1,14 @@
 /**
  * @file
- * SIMD shim equivalence tests.
+ * Vector-kernel equivalence tests.
  *
- * Every kernel in util/simd.hh promises bit-identical output between
- * the vector backend and the scalar fallback (the golden incident
- * streams depend on it).  These tests run each kernel under both
- * settings of the runtime toggle across sizes that cover empty, tiny,
- * unaligned-tail and large inputs, and compare results with exact
- * equality.  On hosts without the vector extension both runs take the
- * scalar path and the tests pass trivially — the contract is "the
- * toggle never changes bits", which is exactly what is asserted.
+ * Every kernel in util/simd.hh is one source compiled for two ISAs
+ * (AVX2 and the baseline), and both builds must give bit-identical
+ * output (the golden incident streams depend on it).  These tests run
+ * each build that the host can execute, plus the dispatched entry
+ * point, against a sequential reference loop kept here, over sizes
+ * that cover empty, tiny, unaligned-tail and large inputs, and compare
+ * with exact equality.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "util/fft.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
 
@@ -28,20 +26,31 @@ namespace cchunter
 namespace
 {
 
-/** Restores the global toggle no matter how the test exits. */
-class SimdToggleGuard
-{
-  public:
-    SimdToggleGuard() : saved_(simdEnabled()) {}
-    ~SimdToggleGuard() { setSimdEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
-
 const std::vector<std::size_t> kSizes = {0,  1,  2,  3,   4,   5,
                                          7,  8,  9,  15,  16,  17,
                                          31, 64, 100, 255, 1024};
+
+/** A kernel set under test and the name to report it by. */
+struct Variant
+{
+    std::string name;
+    simd::KernelSet kernels;
+};
+
+/** The baseline build, the AVX2 build when the host runs it, and the
+ *  dispatched entry points. */
+std::vector<Variant>
+variants()
+{
+    std::vector<Variant> out = {{"baseline", simd::baselineKernels()}};
+    if (const simd::KernelSet* avx2 = simd::avx2Kernels())
+        out.push_back({"avx2", *avx2});
+    out.push_back({"dispatched",
+                   {simd::squaredDistance, simd::divideInPlace,
+                    simd::scaleInPlace, simd::subtractScalar,
+                    simd::powerSpectrumExpand, simd::butterflyBlock}});
+    return out;
+}
 
 std::vector<double>
 randomDoubles(std::uint64_t seed, std::size_t n)
@@ -66,30 +75,100 @@ randomComplex(std::uint64_t seed, std::size_t n)
     return v;
 }
 
-TEST(SimdBackendTest, ToggleControlsTheBackendName)
+bool
+sameBits(const std::vector<std::complex<double>>& a,
+         const std::vector<std::complex<double>>& b)
 {
-    SimdToggleGuard guard;
-    setSimdEnabled(false);
-    EXPECT_FALSE(simdEnabled());
-    EXPECT_STREQ(simdBackendName(), "scalar");
-    setSimdEnabled(true);
-    EXPECT_TRUE(simdEnabled());
-    const std::string name = simdBackendName();
-    EXPECT_TRUE(name == "avx2" || name == "scalar") << name;
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) ==
+                0);
+}
+
+// ---- sequential references ------------------------------------------
+
+/** The documented 4-lane tree, one lane at a time. */
+double
+referenceSquaredDistance(const double* a, const double* b,
+                         std::size_t n)
+{
+    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    const std::size_t n4 = n & ~std::size_t{3};
+    for (std::size_t i = 0; i < n4; i += 4) {
+        const double d0 = a[i] - b[i];
+        const double d1 = a[i + 1] - b[i + 1];
+        const double d2 = a[i + 2] - b[i + 2];
+        const double d3 = a[i + 3] - b[i + 3];
+        l0 += d0 * d0;
+        l1 += d1 * d1;
+        l2 += d2 * d2;
+        l3 += d3 * d3;
+    }
+    double total = (l0 + l2) + (l1 + l3);
+    for (std::size_t i = n4; i < n; ++i) {
+        const double d = a[i] - b[i];
+        total += d * d;
+    }
+    return total;
+}
+
+void
+referencePowerSpectrum(const std::complex<double>* spectrum,
+                       std::size_t m1, double* power, std::size_t padded)
+{
+    for (std::size_t k = 0; k < m1; ++k) {
+        const double re = spectrum[k].real();
+        const double im = spectrum[k].imag();
+        power[k] = re * re + im * im;
+    }
+    for (std::size_t k = 1; k < m1; ++k) {
+        if (k != padded - k)
+            power[padded - k] = power[k];
+    }
+}
+
+void
+referenceButterfly(std::complex<double>* a,
+                   const std::complex<double>* tw, std::size_t half,
+                   bool inverse)
+{
+    for (std::size_t j = 0; j < half; ++j) {
+        const double wr = tw[j].real();
+        const double wi = inverse ? -tw[j].imag() : tw[j].imag();
+        const double br = a[j + half].real();
+        const double bi = a[j + half].imag();
+        const double vr = br * wr - bi * wi;
+        const double vi = br * wi + bi * wr;
+        const double ur = a[j].real();
+        const double ui = a[j].imag();
+        a[j] = std::complex<double>(ur + vr, ui + vi);
+        a[j + half] = std::complex<double>(ur - vr, ui - vi);
+    }
+}
+
+// ---- tests ------------------------------------------------------------
+
+TEST(SimdVariantTest, Avx2BuildRunsWhereverTheHostHasAvx2)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    EXPECT_EQ(simd::avx2Kernels() != nullptr,
+              __builtin_cpu_supports("avx2") != 0);
+#else
+    EXPECT_EQ(simd::avx2Kernels(), nullptr);
+#endif
 }
 
 TEST(SimdKernelTest, SquaredDistanceBitIdenticalAcrossBackends)
 {
-    SimdToggleGuard guard;
-    for (const std::size_t n : kSizes) {
-        const auto a = randomDoubles(100 + n, n);
-        const auto b = randomDoubles(200 + n, n);
-        setSimdEnabled(true);
-        const double vec = simd::squaredDistance(a.data(), b.data(), n);
-        setSimdEnabled(false);
-        const double scalar =
-            simd::squaredDistance(a.data(), b.data(), n);
-        EXPECT_EQ(vec, scalar) << "n=" << n;
+    for (const Variant& v : variants()) {
+        for (const std::size_t n : kSizes) {
+            const auto a = randomDoubles(100 + n, n);
+            const auto b = randomDoubles(200 + n, n);
+            EXPECT_EQ(v.kernels.squaredDistance(a.data(), b.data(), n),
+                      referenceSquaredDistance(a.data(), b.data(), n))
+                << v.name << " n=" << n;
+        }
     }
 }
 
@@ -108,143 +187,91 @@ TEST(SimdKernelTest, SquaredDistanceMatchesDefinitionClosely)
 
 TEST(SimdKernelTest, DivideInPlaceBitIdenticalAcrossBackends)
 {
-    SimdToggleGuard guard;
-    for (const std::size_t n : kSizes) {
-        const auto base = randomDoubles(300 + n, n);
-        const double denom = 3.7;
-        auto vec = base;
-        setSimdEnabled(true);
-        simd::divideInPlace(vec.data(), n, denom);
-        auto scalar = base;
-        setSimdEnabled(false);
-        simd::divideInPlace(scalar.data(), n, denom);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(vec[i], scalar[i]) << "n=" << n << " i=" << i;
-            EXPECT_EQ(vec[i], base[i] / denom) << "n=" << n;
+    const double denom = 3.7;
+    for (const Variant& v : variants()) {
+        for (const std::size_t n : kSizes) {
+            const auto base = randomDoubles(300 + n, n);
+            auto got = base;
+            v.kernels.divideInPlace(got.data(), n, denom);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(got[i], base[i] / denom)
+                    << v.name << " n=" << n << " i=" << i;
         }
     }
 }
 
 TEST(SimdKernelTest, ScaleInPlaceBitIdenticalAcrossBackends)
 {
-    SimdToggleGuard guard;
-    for (const std::size_t n : kSizes) {
-        const auto base = randomDoubles(400 + n, n);
-        const double s = 1.0 / 48.0;
-        auto vec = base;
-        setSimdEnabled(true);
-        simd::scaleInPlace(vec.data(), n, s);
-        auto scalar = base;
-        setSimdEnabled(false);
-        simd::scaleInPlace(scalar.data(), n, s);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(vec[i], scalar[i]) << "n=" << n << " i=" << i;
-            EXPECT_EQ(vec[i], base[i] * s) << "n=" << n;
+    const double s = 1.0 / 48.0;
+    for (const Variant& v : variants()) {
+        for (const std::size_t n : kSizes) {
+            const auto base = randomDoubles(400 + n, n);
+            auto got = base;
+            v.kernels.scaleInPlace(got.data(), n, s);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(got[i], base[i] * s)
+                    << v.name << " n=" << n << " i=" << i;
         }
     }
 }
 
 TEST(SimdKernelTest, SubtractScalarBitIdenticalAcrossBackends)
 {
-    SimdToggleGuard guard;
-    for (const std::size_t n : kSizes) {
-        const auto x = randomDoubles(500 + n, n);
-        const double c = 0.4375;
-        std::vector<double> vec(n, -1.0);
-        std::vector<double> scalar(n, -2.0);
-        setSimdEnabled(true);
-        simd::subtractScalar(x.data(), n, c, vec.data());
-        setSimdEnabled(false);
-        simd::subtractScalar(x.data(), n, c, scalar.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(vec[i], scalar[i]) << "n=" << n << " i=" << i;
-            EXPECT_EQ(vec[i], x[i] - c) << "n=" << n;
+    const double c = 0.4375;
+    for (const Variant& v : variants()) {
+        for (const std::size_t n : kSizes) {
+            const auto x = randomDoubles(500 + n, n);
+            std::vector<double> got(n, -1.0);
+            v.kernels.subtractScalar(x.data(), n, c, got.data());
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(got[i], x[i] - c)
+                    << v.name << " n=" << n << " i=" << i;
         }
     }
 }
 
 TEST(SimdKernelTest, PowerSpectrumExpandBitIdenticalAcrossBackends)
 {
-    SimdToggleGuard guard;
-    for (const std::size_t padded : {2u, 4u, 8u, 64u, 256u, 1024u}) {
-        const std::size_t m1 = padded / 2 + 1;
-        const auto spectrum = randomComplex(600 + padded, m1);
-        std::vector<double> vec(padded, -1.0);
-        std::vector<double> scalar(padded, -2.0);
-        setSimdEnabled(true);
-        simd::powerSpectrumExpand(spectrum.data(), m1, vec.data(),
-                                  padded);
-        setSimdEnabled(false);
-        simd::powerSpectrumExpand(spectrum.data(), m1, scalar.data(),
-                                  padded);
-        for (std::size_t k = 0; k < padded; ++k)
-            EXPECT_EQ(vec[k], scalar[k])
-                << "padded=" << padded << " k=" << k;
-        // Definition: |X_k|^2 over the half spectrum, mirrored.
-        for (std::size_t k = 0; k < m1; ++k)
-            EXPECT_EQ(vec[k], std::norm(spectrum[k])) << "k=" << k;
-        for (std::size_t k = 1; k < m1; ++k)
-            if (k != padded - k) {
-                EXPECT_EQ(vec[padded - k], vec[k]) << "k=" << k;
-            }
+    for (const Variant& v : variants()) {
+        // Each size is the padded transform length; its half spectrum
+        // has padded/2 + 1 entries.
+        for (const std::size_t padded : kSizes) {
+            const std::size_t m1 = padded == 0 ? 0 : padded / 2 + 1;
+            const auto spectrum = randomComplex(600 + padded, m1);
+            std::vector<double> got(padded, -1.0);
+            std::vector<double> want(padded, -2.0);
+            v.kernels.powerSpectrumExpand(spectrum.data(), m1,
+                                          got.data(), padded);
+            referencePowerSpectrum(spectrum.data(), m1, want.data(),
+                                   padded);
+            for (std::size_t k = 0; k < padded; ++k)
+                EXPECT_EQ(got[k], want[k])
+                    << v.name << " padded=" << padded << " k=" << k;
+        }
     }
 }
 
 TEST(SimdKernelTest, ButterflyBlockBitIdenticalAcrossBackends)
 {
-    SimdToggleGuard guard;
-    for (const std::size_t n : {2u, 8u, 64u, 256u}) {
-        const FftPlan plan(n);
-        for (std::size_t len = 2; len <= n; len <<= 1) {
-            const std::size_t half = len / 2;
-            const auto base = randomComplex(700 + n + len, len);
+    for (const Variant& v : variants()) {
+        // Each size is `half`; the kernel does not require the
+        // twiddles to be roots of unity.
+        for (const std::size_t half : kSizes) {
+            const auto base = randomComplex(700 + half, 2 * half);
+            const auto tw = randomComplex(800 + half, half);
             for (const bool inverse : {false, true}) {
-                auto vec = base;
-                setSimdEnabled(true);
-                simd::butterflyBlock(vec.data(),
-                                     plan.stageTwiddles(len), half,
-                                     inverse);
-                auto scalar = base;
-                setSimdEnabled(false);
-                simd::butterflyBlock(scalar.data(),
-                                     plan.stageTwiddles(len), half,
-                                     inverse);
-                ASSERT_EQ(std::memcmp(vec.data(), scalar.data(),
-                                      len * sizeof(vec[0])),
-                          0)
-                    << "n=" << n << " len=" << len
+                auto got = base;
+                auto want = base;
+                v.kernels.butterflyBlock(got.data(), tw.data(), half,
+                                         inverse);
+                referenceButterfly(want.data(), tw.data(), half,
+                                   inverse);
+                EXPECT_TRUE(sameBits(got, want))
+                    << v.name << " half=" << half
                     << " inverse=" << inverse;
             }
         }
     }
-}
-
-TEST(SimdFftTest, WholeTransformBitIdenticalAcrossBackends)
-{
-    SimdToggleGuard guard;
-    const auto base = randomComplex(42, 512);
-    auto vec = base;
-    setSimdEnabled(true);
-    fftInPlace(vec);
-    auto scalar = base;
-    setSimdEnabled(false);
-    fftInPlace(scalar);
-    ASSERT_EQ(std::memcmp(vec.data(), scalar.data(),
-                          vec.size() * sizeof(vec[0])),
-              0);
-}
-
-TEST(SimdFftTest, AutocorrelationSumsBitIdenticalAcrossBackends)
-{
-    SimdToggleGuard guard;
-    const auto x = randomDoubles(43, 700);
-    setSimdEnabled(true);
-    const auto vec = autocorrelationSumsFft(x, 128);
-    setSimdEnabled(false);
-    const auto scalar = autocorrelationSumsFft(x, 128);
-    ASSERT_EQ(vec.size(), scalar.size());
-    for (std::size_t lag = 0; lag < vec.size(); ++lag)
-        EXPECT_EQ(vec[lag], scalar[lag]) << "lag=" << lag;
 }
 
 } // namespace
